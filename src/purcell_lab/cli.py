@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 import warnings
@@ -381,9 +380,13 @@ def _build_point(
 
 
 def _flag_text(message) -> str:
-    """One warning/error as a CSV-safe flag token."""
+    """One warning/error as a CSV-safe flag token.
+
+    Whitespace runs collapse to one space; the CSV field separator "," and
+    the flag separator ";" both become "|", so a flag reads back as written.
+    """
     text = " ".join(str(message).split())
-    return text.replace(",", ";")
+    return text.replace(",", "|").replace(";", "|")
 
 
 def _run_point(
@@ -414,7 +417,7 @@ def _run_point(
             else:
                 total, base = analytic.total, analytic.base
                 nc_nc, nc_cd, cd_cd = analytic.nc_nc, analytic.nc_cd, analytic.cd_cd
-        except ValueError as err:
+        except (ValueError, RuntimeError) as err:
             flags.append("error: " + _flag_text(err))
             gamma_diag = total = base = nc_nc = nc_cd = cd_cd = math.nan
             gamma_fit = None
@@ -460,13 +463,15 @@ def run_scenario(
 
     Points are independent; with jobs > 1 they run on a thread pool (the
     heavy numerics release the GIL).  Row order always follows the grid.
+    The summary's ``wall_time_s`` covers the whole call, precheck included.
     """
+    start = time.perf_counter()
     try:
         converged, drift = _convergence_precheck(config)
         note = "" if converged else "truncation-precheck-exceeded"
-    except ValueError as err:
-        # a guard tripping at the largest grid point is a per-point matter;
-        # the sweep itself proceeds and flags each row
+    except (ValueError, RuntimeError) as err:
+        # a guard or solver failure at the largest grid point is a per-point
+        # matter; the sweep itself proceeds and flags each row
         converged, drift = False, math.nan
         note = "truncation-precheck-failed: " + _flag_text(err)
     jobs = max(1, min(jobs, len(config.grid)))
@@ -487,7 +492,7 @@ def run_scenario(
         "hard_errors": sum(
             any(f.startswith("error:") for f in row.flags) for row in rows
         ),
-        "wall_time_s": sum(row.wall_time_s for row in rows),
+        "wall_time_s": time.perf_counter() - start,
     }
     return rows, summary
 
@@ -589,21 +594,9 @@ def compare_report(rows: list[SweepRow]) -> dict:
     }
 
 
-def _thread_count(cli_jobs: int) -> int:
-    env = os.environ.get("PURCELL_LAB_THREADS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(
-                f"PURCELL_LAB_THREADS must be an integer, got {env!r}"
-            ) from None
-    return cli_jobs
-
-
 def _cmd_sweep(args) -> int:
     config = load_config(args.config)
-    rows, summary = run_scenario(config, jobs=_thread_count(args.jobs))
+    rows, summary = run_scenario(config, jobs=args.jobs)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / config.csv_name
@@ -673,12 +666,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="run a scenario and write the results CSV")
     p.add_argument("--config", required=True, help="scenario config JSON")
     p.add_argument("--out", default=".", help="output directory (default: .)")
-    p.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker threads (PURCELL_LAB_THREADS overrides)",
-    )
+    p.add_argument("--jobs", type=int, default=1, help="worker threads")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("compare", help="cross-check report from a results CSV")

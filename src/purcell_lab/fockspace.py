@@ -107,28 +107,21 @@ class OperatorMatrix:
 
 @dataclass(frozen=True)
 class Superoperator:
-    """A matrix acting on column-stacked vectorized operators.
+    """A sparse matrix acting on column-stacked vectorized operators.
 
-    ``data`` has shape (N^2, N^2) with N = ``space.total_dim`` and may be a
-    dense ndarray (storage="dense") or a scipy sparse matrix
-    (storage="sparse").  A trace-preserving generator satisfies
+    ``data`` is a complex CSR matrix of shape (N^2, N^2) with
+    N = ``space.total_dim``.  A trace-preserving generator satisfies
     vec(I)^dag @ data = 0 to numerical tolerance.
     """
 
     space: TruncatedSpace
-    data: object
-    storage: str = "dense"
+    data: sp.csr_matrix
 
     def __post_init__(self):
         n2 = self.space.total_dim ** 2
-        if self.storage not in ("dense", "sparse"):
-            raise ValueError(f"unknown storage flag {self.storage!r}")
-        if self.storage == "dense":
-            data = np.asarray(self.data, dtype=complex)
-        else:
-            if not sp.issparse(self.data):
-                raise ValueError("storage='sparse' requires a scipy sparse matrix")
-            data = self.data.tocsr().astype(complex)
+        if not sp.issparse(self.data):
+            raise ValueError("superoperator data must be a scipy sparse matrix")
+        data = self.data.tocsr().astype(complex)
         if data.shape != (n2, n2):
             raise ValueError(
                 f"superoperator shape {data.shape} does not match {(n2, n2)}"
@@ -136,22 +129,13 @@ class Superoperator:
         object.__setattr__(self, "data", data)
 
     def as_dense(self) -> np.ndarray:
-        if self.storage == "dense":
-            return self.data
-        return np.asarray(self.data.todense())
-
-    def as_sparse(self) -> sp.csr_matrix:
-        if self.storage == "sparse":
-            return self.data
-        return sp.csr_matrix(self.data)
+        return self.data.toarray()
 
     def apply(self, vec_rho: np.ndarray) -> np.ndarray:
         return self.data @ vec_rho
 
     def max_abs(self) -> float:
-        if self.storage == "sparse":
-            return float(np.max(np.abs(self.data.data))) if self.data.nnz else 0.0
-        return float(np.max(np.abs(self.data))) if self.data.size else 0.0
+        return float(np.max(np.abs(self.data.data))) if self.data.nnz else 0.0
 
 
 def identity(space: TruncatedSpace) -> OperatorMatrix:
@@ -240,17 +224,9 @@ def _dissipator(l_op: sp.csr_matrix) -> sp.csr_matrix:
     )
 
 
-def hamiltonian_superoperator(h: OperatorMatrix, storage: str = "dense") -> Superoperator:
-    """Superoperator of rho -> -i[H, rho]."""
-    hs = sp.csr_matrix(h.data)
-    gen = -1j * (left_mult(hs) - right_mult(hs))
-    return _package(h.space, gen, storage)
-
-
 def lindblad_superoperator(
     h: OperatorMatrix,
     channels: list[tuple[float, OperatorMatrix]],
-    storage: str = "dense",
 ) -> Superoperator:
     """Assemble -i[H, .] + sum_k rate_k D[L_k] under column stacking.
 
@@ -260,9 +236,6 @@ def lindblad_superoperator(
         Hamiltonian (Hermitian not enforced; the caller owns that).
     channels : list of (rate, L)
         Non-negative rates with their jump operators, all on ``h.space``.
-    storage : {"dense", "sparse"}
-        Representation of the returned superoperator.  Dense by default;
-        sparse is the opt-in for larger cutoff scans.
     """
     space = h.space
     hs = sp.csr_matrix(h.data)
@@ -275,13 +248,12 @@ def lindblad_superoperator(
         if rate == 0.0:
             continue
         gen = gen + rate * _dissipator(sp.csr_matrix(l_opm.data))
-    return _package(space, gen, storage)
+    return Superoperator(space, gen)
 
 
 def heisenberg_superoperator(
     h: OperatorMatrix,
     channels: list[tuple[float, OperatorMatrix]],
-    storage: str = "dense",
 ) -> Superoperator:
     """Adjoint (Heisenberg-picture) generator, built independently.
 
@@ -303,21 +275,12 @@ def heisenberg_superoperator(
         gen = gen + rate * (
             sandwich(ls.conj().T, ls) - 0.5 * left_mult(ldl) - 0.5 * right_mult(ldl)
         )
-    return _package(space, gen, storage)
-
-
-def _package(space: TruncatedSpace, gen: sp.spmatrix, storage: str) -> Superoperator:
-    if storage == "dense":
-        return Superoperator(space, np.asarray(gen.todense()), storage="dense")
-    if storage == "sparse":
-        return Superoperator(space, gen.tocsr(), storage="sparse")
-    raise ValueError(f"unknown storage flag {storage!r}")
+    return Superoperator(space, gen)
 
 
 def trace_preservation_residual(superop: Superoperator) -> float:
     """max|vec(I)^dag L|, normalized by max|L| (0 if L is empty)."""
     t = trace_functional(superop.space)
-    resid = np.abs(t @ (superop.data if superop.storage == "dense" else superop.data.tocsc()))
-    resid = float(np.max(resid))
+    resid = float(np.max(np.abs(t @ superop.data)))
     scale = superop.max_abs()
     return resid / scale if scale > 0 else resid

@@ -7,36 +7,30 @@ ladder operators ARE the mode operators of the space, and the basis change
 is absorbed entirely into the frame constants.  This avoids double-counting
 the O(g/Delta) basis rotation.
 
-Builders emit sparse superoperators (the cutoff-scan representation);
-spectral-layer consumers convert to dense on demand for small spaces.
+Every generator is a sum  L = sum_k c_k S_k  over one table of
+unit-coefficient sparse terms (Hamiltonian terms with S_k = -i[O_k, .],
+dissipators, correlated-dissipation pieces).  The builders differ only in
+the coefficient map c_k they take from their frame; term toggles drop keys
+from that map, and the perturbation parts are partial sums of it.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from .fockspace import (
-    OperatorMatrix,
     Superoperator,
     TruncatedSpace,
+    _dissipator,
     ladder_operators,
     left_mult,
-    lindblad_superoperator,
     right_mult,
     sandwich,
 )
-from .model import (
-    DisplacedFrame,
-    DriveParams,
-    PolaritonFrame,
-    SystemParams,
-    bare_hamiltonian,
-    polariton_frame,
-)
+from .model import DisplacedFrame, PolaritonFrame, SystemParams, polariton_frame
 
 
 @dataclass(frozen=True)
@@ -85,70 +79,162 @@ class GeneratorBundle:
         return scale
 
 
-def _thermal_channels(kappa, nbar, lower, raise_):
-    chans = []
-    if kappa > 0:
-        chans.append((kappa * (1.0 + nbar), lower))
-        if nbar > 0:
-            chans.append((kappa * nbar, raise_))
-    return chans
+# Table keys each toggle (and each perturbation part) covers.
+_TOGGLED_TERMS = {
+    "crs": ("cross_kerr",),
+    "nc": ("conversion",),
+    "cd": ("cd_anticommutator", "cd_down", "cd_up"),
+    "drive": ("drive", "drive_dag"),
+}
+
+
+def _term_table(
+    space: TruncatedSpace,
+) -> tuple[dict[str, sp.csr_matrix], dict[str, sp.csr_matrix]]:
+    """Unit-coefficient terms of every generator: (operators, superoperators).
+
+    Hamiltonian terms are kept as operators O_k; their superoperators are
+    S_k = -i[O_k, .].  Keys: n_c, n_a, a^dag a^dag a a ("kerr_a"), n_c n_a
+    ("cross_kerr"), a^dag c + c^dag a ("exchange"), a^dag a^dag a c + h.c.
+    ("conversion"), a^dag a^dag a ("drive") and its adjoint ("drive_dag").
+
+    Dissipative terms are superoperators S_k: D[c] ("decay_c"), D[c^dag]
+    ("heat_c"), D[a] ("decay_a"), D[a^dag] ("heat_a"), and the three pieces
+    of the correlated dissipation between the two dressed modes,
+
+        L_cd rho = -((gamma_up + gamma_down)/2) {a^dag c + c^dag a, rho}
+                   + gamma_down (a rho c^dag + c rho a^dag)
+                   + gamma_up   (a^dag rho c + c^dag rho a),
+
+    keyed "cd_anticommutator", "cd_down" and "cd_up"; L_cd is
+    trace-preserving for any real gamma_up, gamma_down.
+    """
+    c, cd, nc = (sp.csr_matrix(op.data) for op in ladder_operators(space, 0))
+    a, ad, na = (sp.csr_matrix(op.data) for op in ladder_operators(space, 1))
+    exchange = ad @ c + cd @ a
+    conversion = ad @ ad @ a @ c
+    drive = ad @ ad @ a
+    operators = {
+        "n_c": nc,
+        "n_a": na,
+        "kerr_a": ad @ ad @ a @ a,
+        "cross_kerr": nc @ na,
+        "exchange": exchange,
+        "conversion": conversion + conversion.conj().T,
+        "drive": drive,
+        "drive_dag": drive.conj().T,
+    }
+    superoperators = {
+        "decay_c": _dissipator(c),
+        "heat_c": _dissipator(cd),
+        "decay_a": _dissipator(a),
+        "heat_a": _dissipator(ad),
+        "cd_anticommutator": -0.5 * (left_mult(exchange) + right_mult(exchange)),
+        "cd_down": sandwich(a, cd) + sandwich(c, ad),
+        "cd_up": sandwich(ad, c) + sandwich(cd, a),
+    }
+    return operators, superoperators
+
+
+def _term_sum(table, coeffs: dict[str, complex]) -> sp.csr_matrix:
+    """sum_k c_k S_k over the term table, in the order of ``coeffs``.
+
+    The Hamiltonian part is taken as -i[sum_k c_k O_k, .], equal to
+    sum_k c_k S_k by linearity but rounded like the operator-level
+    Hamiltonian of the frame.  The time-domain rate fit is that sensitive
+    to generator roundoff (a last-bit change moves its rate by 0.3% at
+    cutoff (6, 5)), so the order of the floating-point sums is part of the
+    result.  Zero coefficients are skipped.
+    """
+    operators, superoperators = table
+    n = operators["n_c"].shape[0]
+    h = sp.csr_matrix((n, n), dtype=complex)
+    for key, coeff in coeffs.items():
+        if coeff != 0 and key in operators:
+            h = h + coeff * operators[key]
+    gen = -1j * (left_mult(h) - right_mult(h))
+    for key, coeff in coeffs.items():
+        if coeff != 0 and key in superoperators:
+            gen = gen + coeff * superoperators[key]
+    return gen
+
+
+def _generator(space: TruncatedSpace, coeffs: dict[str, complex]) -> Superoperator:
+    return Superoperator(space, _term_sum(_term_table(space), coeffs))
+
+
+def _toggled(coeffs: dict[str, complex], toggles: TermToggles) -> dict[str, complex]:
+    """The coefficient map without the keys of switched-off terms."""
+    dropped = {
+        key
+        for name, keys in _TOGGLED_TERMS.items()
+        if not getattr(toggles, f"include_{name}")
+        for key in keys
+    }
+    return {k: v for k, v in coeffs.items() if k not in dropped}
+
+
+def _bath_coefficients(mode: str, kappa: float, nbar: float) -> dict[str, float]:
+    return {f"decay_{mode}": kappa * (1.0 + nbar), f"heat_{mode}": kappa * nbar}
+
+
+def _bare_coefficients(params: SystemParams) -> dict[str, complex]:
+    """Lab-frame bare Hamiltonian plus the independent thermal baths; the
+    terms follow the order of model.bare_hamiltonian, so the sums round
+    alike."""
+    return {
+        "n_a": params.omega_a,
+        "n_c": params.omega_c,
+        "exchange": params.g,
+        "kerr_a": -0.5 * params.U,
+        **_bath_coefficients("c", params.kappa_c, params.nbar_c0),
+        **_bath_coefficients("a", params.kappa_a, params.nbar_a0),
+    }
+
+
+def _polariton_coefficients(frame: PolaritonFrame) -> dict[str, complex]:
+    return {
+        "n_c": frame.omega_c_t,
+        "n_a": frame.omega_a_t,
+        "kerr_a": frame.chi_aa,
+        "cross_kerr": frame.chi_ca,
+        "conversion": frame.chi_t,
+        **_bath_coefficients("c", frame.kappa_c_t, frame.n_c_t),
+        **_bath_coefficients("a", frame.kappa_a_t, frame.n_a_t),
+        "cd_anticommutator": frame.gamma_up + frame.gamma_down,
+        "cd_down": frame.gamma_down,
+        "cd_up": frame.gamma_up,
+    }
+
+
+def _displaced_coefficients(dframe: DisplacedFrame) -> dict[str, complex]:
+    """Rotating-frame constants, zero-temperature baths, and the residual
+    drive V = drive_coeff * a^dag a^dag a + h.c."""
+    return {
+        "n_c": dframe.omega_c_tp,
+        "n_a": dframe.omega_a_tp,
+        "kerr_a": dframe.chi_aa_p,
+        "cross_kerr": dframe.chi_ca_p,
+        "conversion": dframe.chi_t_p,
+        **_bath_coefficients("c", dframe.kappa_c_tp, 0.0),
+        **_bath_coefficients("a", dframe.kappa_a_tp, 0.0),
+        "cd_anticommutator": dframe.gamma_down_p,
+        "cd_down": dframe.gamma_down_p,
+        "drive": dframe.drive_coeff,
+        "drive_dag": np.conj(dframe.drive_coeff),
+    }
 
 
 def build_bare(params: SystemParams, space: TruncatedSpace) -> GeneratorBundle:
     """Lab-frame generator: bare Hamiltonian plus independent thermal baths."""
-    h = bare_hamiltonian(params, space)
-    c, cd, _ = ladder_operators(space, 0)
-    a, ad, _ = ladder_operators(space, 1)
-    chans = _thermal_channels(params.kappa_c, params.nbar_c0, c, cd)
-    chans += _thermal_channels(params.kappa_a, params.nbar_a0, a, ad)
-    superop = lindblad_superoperator(h, chans, storage="sparse")
     return GeneratorBundle(
-        superop=superop,
+        superop=_generator(space, _bare_coefficients(params)),
         frame=polariton_frame(params),
         basis="bare",
         toggles=TermToggles(),
         params=params,
         space=space,
     )
-
-
-def _blackbox_hamiltonian_terms(
-    space: TruncatedSpace,
-    omega_c_t: float,
-    omega_a_t: float,
-    chi_aa: float,
-    chi_ca: float,
-    chi_t: float,
-) -> dict[str, OperatorMatrix]:
-    c, cd, nc = ladder_operators(space, 0)
-    a, ad, na = ladder_operators(space, 1)
-    h0 = omega_c_t * nc + omega_a_t * na
-    slf = chi_aa * (ad @ ad @ a @ a)
-    crs = chi_ca * (nc @ na)
-    nc_op = ad @ ad @ a @ c
-    nc_term = chi_t * (nc_op + nc_op.dag())
-    return {"h0": h0, "slf": slf, "crs": crs, "nc": nc_term}
-
-
-def correlated_dissipation_superoperator(
-    space: TruncatedSpace, gamma_down: float, gamma_up: float
-) -> sp.csr_matrix:
-    """Non-secular dissipative coupling between the two dressed modes.
-
-    L_cd rho = -((gamma_up + gamma_down)/2) {a^dag c + c^dag a, rho}
-               + gamma_down (a rho c^dag + c rho a^dag)
-               + gamma_up   (a^dag rho c + c^dag rho a)
-
-    Trace-preserving for any real gamma_up, gamma_down (the anti-commutator
-    line exactly cancels the sandwich lines under the trace).
-    """
-    c, cd, _ = ladder_operators(space, 0)
-    a, ad, _ = ladder_operators(space, 1)
-    x = (ad @ c + cd @ a).data
-    gen = -0.5 * (gamma_up + gamma_down) * (left_mult(x) + right_mult(x))
-    gen = gen + gamma_down * (sandwich(a.data, cd.data) + sandwich(c.data, ad.data))
-    gen = gen + gamma_up * (sandwich(ad.data, c.data) + sandwich(cd.data, a.data))
-    return gen.tocsr()
 
 
 def build_blackbox(
@@ -163,25 +249,9 @@ def build_blackbox(
     cross-Kerr, nonlinear conversion, and correlated dissipation follow the
     toggles.
     """
-    terms = _blackbox_hamiltonian_terms(
-        space, frame.omega_c_t, frame.omega_a_t, frame.chi_aa, frame.chi_ca, frame.chi_t
-    )
-    h = terms["h0"] + terms["slf"]
-    if toggles.include_crs:
-        h = h + terms["crs"]
-    if toggles.include_nc:
-        h = h + terms["nc"]
-    c, cd, _ = ladder_operators(space, 0)
-    a, ad, _ = ladder_operators(space, 1)
-    chans = _thermal_channels(frame.kappa_c_t, frame.n_c_t, c, cd)
-    chans += _thermal_channels(frame.kappa_a_t, frame.n_a_t, a, ad)
-    gen = lindblad_superoperator(h, chans, storage="sparse").data
-    if toggles.include_cd:
-        gen = gen + correlated_dissipation_superoperator(
-            space, frame.gamma_down, frame.gamma_up
-        )
+    coeffs = _toggled(_polariton_coefficients(frame), toggles)
     return GeneratorBundle(
-        superop=Superoperator(space, gen.tocsr(), storage="sparse"),
+        superop=_generator(space, coeffs),
         frame=frame,
         basis="blackbox",
         toggles=toggles,
@@ -199,32 +269,14 @@ def blackbox_perturbation_parts(
     commutator), "cd" (correlated dissipation).  Their sum is exactly the
     difference between the full dressed generator and the decoupled one.
     """
-    terms = _blackbox_hamiltonian_terms(
-        space, frame.omega_c_t, frame.omega_a_t, frame.chi_aa, frame.chi_ca, frame.chi_t
-    )
-    out = {}
-    for key in ("crs", "nc"):
-        hdata = terms[key].data
-        gen = -1j * (left_mult(hdata) - right_mult(hdata))
-        out[key] = Superoperator(space, gen.tocsr(), storage="sparse")
-    out["cd"] = Superoperator(
-        space,
-        correlated_dissipation_superoperator(space, frame.gamma_down, frame.gamma_up),
-        storage="sparse",
-    )
-    return out
-
-
-def displaced_drive_superoperator(
-    dframe: DisplacedFrame, space: TruncatedSpace
-) -> Superoperator:
-    """Residual nonlinear single-photon drive -i[V, .] with
-    V = drive_coeff * a^dag a^dag a + h.c. (dressed-mode operators)."""
-    a, ad, _ = ladder_operators(space, 1)
-    v = dframe.drive_coeff * (ad @ ad @ a).data
-    v = v + v.conj().T
-    gen = -1j * (left_mult(v) - right_mult(v))
-    return Superoperator(space, gen.tocsr(), storage="sparse")
+    table = _term_table(space)
+    coeffs = _polariton_coefficients(frame)
+    return {
+        name: Superoperator(
+            space, _term_sum(table, {k: coeffs[k] for k in _TOGGLED_TERMS[name]})
+        )
+        for name in ("crs", "nc", "cd")
+    }
 
 
 def build_displaced(
@@ -239,32 +291,9 @@ def build_displaced(
             "the displaced generator is derived for zero-temperature baths; "
             "got nbar_a0={}, nbar_c0={}".format(params.nbar_a0, params.nbar_c0)
         )
-    terms = _blackbox_hamiltonian_terms(
-        space,
-        dframe.omega_c_tp,
-        dframe.omega_a_tp,
-        dframe.chi_aa_p,
-        dframe.chi_ca_p,
-        dframe.chi_t_p,
-    )
-    h = terms["h0"] + terms["slf"]
-    if toggles.include_crs:
-        h = h + terms["crs"]
-    if toggles.include_nc:
-        h = h + terms["nc"]
-    c, cd, _ = ladder_operators(space, 0)
-    a, ad, _ = ladder_operators(space, 1)
-    chans = _thermal_channels(dframe.kappa_c_tp, 0.0, c, cd)
-    chans += _thermal_channels(dframe.kappa_a_tp, 0.0, a, ad)
-    gen = lindblad_superoperator(h, chans, storage="sparse").data
-    if toggles.include_cd:
-        gen = gen + correlated_dissipation_superoperator(
-            space, dframe.gamma_down_p, 0.0
-        )
-    if toggles.include_drive:
-        gen = gen + displaced_drive_superoperator(dframe, space).data
+    coeffs = _toggled(_displaced_coefficients(dframe), toggles)
     return GeneratorBundle(
-        superop=Superoperator(space, gen.tocsr(), storage="sparse"),
+        superop=_generator(space, coeffs),
         frame=dframe,
         basis="displaced",
         toggles=toggles,
@@ -285,12 +314,8 @@ def build_jc(params: SystemParams, space: TruncatedSpace) -> GeneratorBundle:
         )
     if params.kappa_a != 0.0:
         raise ValueError("two-level-qubit comparison model assumes kappa_a = 0")
-    h = bare_hamiltonian(params, space)  # Kerr term is identically zero at cutoff 2
-    c, cd, _ = ladder_operators(space, 0)
-    chans = _thermal_channels(params.kappa_c, params.nbar_c0, c, cd)
-    superop = lindblad_superoperator(h, chans, storage="sparse")
     return GeneratorBundle(
-        superop=superop,
+        superop=_generator(space, _bare_coefficients(params)),
         frame=polariton_frame(params),
         basis="jc",
         toggles=TermToggles(),

@@ -142,7 +142,7 @@ def decoupled_block(
         channels.append((kappa * (1.0 + nbar), a))
         if nbar > 0:
             channels.append((kappa * nbar, ad))
-    return lindblad_superoperator(h, channels, storage="dense").as_dense()
+    return lindblad_superoperator(h, channels).as_dense()
 
 
 def _edge_mask(dim: int, exclude: int = 2) -> np.ndarray:
@@ -382,7 +382,7 @@ def pt_corrections(
                 f"(gap {gap:.3e} < {DEGENERACY_RTOL:g} * scale {modes.scale:.3e})"
             )
 
-    mat = L1.as_sparse()
+    mat = L1.data
     v = mat @ tgt.right
     vnorm = np.linalg.norm(v)
     if vnorm == 0.0:
@@ -534,11 +534,7 @@ def gamma_thermal_pt(
     target = ModeLabel(m_c=0, m_a=0, k=1, kind="T1")
 
     parts = blackbox_perturbation_parts(frame, space)
-    both = Superoperator(
-        space,
-        parts["nc"].as_sparse() + parts["cd"].as_sparse(),
-        storage="sparse",
-    )
+    both = Superoperator(space, parts["nc"].data + parts["cd"].data)
     res_nc = pt_corrections(modes, parts["nc"], target)
     res_cd = pt_corrections(modes, parts["cd"], target)
     res_both = pt_corrections(modes, both, target)

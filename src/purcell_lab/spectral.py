@@ -141,7 +141,7 @@ def steady_state(bundle: GeneratorBundle, psd_floor: float = -1e-10) -> np.ndarr
         vec = v[:, order[0]]
     else:
         w, v = _eigs_with_retry(
-            superop.as_sparse().tocsc(), k=2, sigma=0.1 * scale, dim=dim
+            superop.data.tocsc(), k=2, sigma=0.1 * scale, dim=dim
         )
         order = np.argsort(np.abs(w))
         lam1 = w[order[1]]
@@ -257,7 +257,7 @@ def spectrum(
             count = 12
         k = max(count + 4, 12)
         sig = sigma if sigma is not None else -0.5 * bundle.t1_rate_scale
-        mat = superop.as_sparse().tocsc()
+        mat = superop.data.tocsc()
         adjoint = mat.conj().T.tocsc()
         # The forward and adjoint solver windows may disagree on which
         # eigenvalues sit at their outer edge; widen both until every kept
@@ -291,7 +291,7 @@ def spectrum(
         raise ValueError(f"unknown method {method!r}")
 
     # defectiveness / convergence check on the raw (unit-norm-ish) vectors
-    lop = superop.as_sparse()
+    lop = superop.data
     for m in modes:
         res = np.linalg.norm(lop @ m.right - m.lam * m.right)
         if res > 1e-8 * mag * np.linalg.norm(m.right):

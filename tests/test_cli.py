@@ -4,10 +4,14 @@ import json
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import purcell_lab.cli
 from purcell_lab.cli import (
     ConfigError,
     SweepRow,
+    _flag_text,
     compare_report,
     config_from_dict,
     load_config,
@@ -173,6 +177,11 @@ class TestRunScenario:
             assert any(f.startswith("error:") for f in row.flags)
             assert math.isnan(row.gamma_diag)
 
+    def test_summary_time_covers_the_precheck(self):
+        config = config_from_dict(make_config(truncation=[3, 2], sweep={"grid": [0.0]}))
+        rows, summary = run_scenario(config)
+        assert summary["wall_time_s"] > sum(row.wall_time_s for row in rows)
+
     def test_detuning_sign_sweep(self):
         config = config_from_dict(
             make_config(
@@ -283,6 +292,14 @@ class TestCsvRoundTrip:
             rows[0].gamma_fit, rel=1e-13
         )
 
+    @given(st.lists(st.text(), min_size=1, max_size=4))
+    def test_flags_read_back_as_written(self, tmp_path_factory, messages):
+        flags = tuple("warn: " + _flag_text(m) for m in messages)
+        config = config_from_dict(make_config())
+        path = tmp_path_factory.mktemp("flags") / "flags.csv"
+        write_rows([make_row(0.0, 1.0, 1.0, flags=flags)], config, path)
+        assert read_rows(path)[0].flags == flags
+
     def test_foreign_file_rejected(self, tmp_path):
         path = tmp_path / "foreign.csv"
         path.write_text("value,gamma\n0,1\n", encoding="utf-8")
@@ -367,21 +384,27 @@ class TestCliEntry:
     def test_missing_config_file(self, tmp_path):
         assert main(["validate", "--config", str(tmp_path / "nope.json")]) == 2
 
-    def test_env_thread_override(self, tmp_path, monkeypatch):
-        config_path = write_config(tmp_path)
-        monkeypatch.setenv("PURCELL_LAB_THREADS", "2")
-        assert main(["sweep", "--config", str(config_path),
-                     "--out", str(tmp_path)]) == 0
-        monkeypatch.setenv("PURCELL_LAB_THREADS", "lots")
-        assert main(["sweep", "--config", str(config_path),
-                     "--out", str(tmp_path)]) == 2
-
     def test_guard_error_gives_nonzero_exit(self, tmp_path):
         config_path = write_config(
             tmp_path, model={"omega_a": 0.01, "g": 0.001, "U": 0.01}
         )
         assert main(["sweep", "--config", str(config_path),
                      "--out", str(tmp_path)]) == 1
+
+    def test_solver_runtime_error_gives_nonzero_exit(self, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise RuntimeError("injected solver failure")
+
+        monkeypatch.setattr(purcell_lab.cli, "t1_rate_diag", fail)
+        config_path = write_config(tmp_path)
+        assert main(["sweep", "--config", str(config_path),
+                     "--out", str(tmp_path)]) == 1
+        rows = read_rows(tmp_path / "unit.csv")
+        assert len(rows) == 2
+        for row in rows:
+            assert "truncation-precheck-failed: injected solver failure" in row.flags
+            assert "error: injected solver failure" in row.flags
+            assert math.isnan(row.gamma_diag)
 
     def test_spectrum_prints_labeled_ladder(self, tmp_path, capsys):
         config_path = write_config(tmp_path)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from purcell_lab.fockspace import (
     TruncatedSpace,
@@ -11,7 +12,6 @@ from purcell_lab.fockspace import (
     unvectorize,
     lindblad_superoperator,
     heisenberg_superoperator,
-    hamiltonian_superoperator,
     trace_functional,
     trace_preservation_residual,
 )
@@ -153,7 +153,7 @@ class TestLindbladSuperoperator:
         h = OperatorMatrix(space, random_hermitian(rng, n))
         lower0, raise0, _ = ladder_operators(space, 0)
         chans = [(0.2, lower0), (0.05, raise0)]
-        gen = lindblad_superoperator(h, chans, storage="sparse")
+        gen = lindblad_superoperator(h, chans)
         assert trace_preservation_residual(gen) <= 1e-12
 
     def test_hermiticity_preservation(self):
@@ -180,24 +180,14 @@ class TestLindbladSuperoperator:
         with pytest.raises(ValueError):
             lindblad_superoperator(identity(space_a), [(0.1, lower_b)])
 
-    def test_hamiltonian_superoperator_matches_lindblad_no_channels(self):
-        rng = np.random.default_rng(5)
-        space = TruncatedSpace((4,))
-        h = OperatorMatrix(space, random_hermitian(rng, 4))
-        assert np.allclose(
-            hamiltonian_superoperator(h).data,
-            lindblad_superoperator(h, []).data,
-        )
-
-    def test_storage_flags(self):
+    def test_rejects_dense_data(self):
         space = TruncatedSpace((3,))
         lower, _, _ = ladder_operators(space, 0)
-        dense = lindblad_superoperator(identity(space) * 0.0, [(1.0, lower)])
-        sparse = lindblad_superoperator(identity(space) * 0.0, [(1.0, lower)], storage="sparse")
-        assert dense.storage == "dense" and sparse.storage == "sparse"
-        assert np.allclose(dense.data, sparse.as_dense())
+        gen = lindblad_superoperator(identity(space) * 0.0, [(1.0, lower)])
+        assert sp.issparse(gen.data) and gen.data.format == "csr"
+        assert np.array_equal(gen.as_dense(), gen.data.toarray())
         with pytest.raises(ValueError):
-            Superoperator(space, np.zeros((9, 9)), storage="sparse")
+            Superoperator(space, np.zeros((9, 9)))
 
 
 class TestAdjointConsistency:
@@ -209,7 +199,7 @@ class TestAdjointConsistency:
         chans = [(0.8, lower), (0.1, raise_)]
         schro = lindblad_superoperator(h, chans)
         heis = heisenberg_superoperator(h, chans)
-        assert np.max(np.abs(heis.data - schro.data.conj().T)) <= 1e-12
+        assert np.max(np.abs((heis.data - schro.data.conj().T).toarray())) <= 1e-12
 
     def test_pairing_identity_on_random_pairs(self):
         # <L^dag(A), rho> = <A, L(rho)> with <A, B> = Tr[A^dag B]

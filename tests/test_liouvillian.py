@@ -1,8 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from purcell_lab.fockspace import (
     TruncatedSpace,
+    ladder_operators,
+    lindblad_superoperator,
+    trace_functional,
     trace_preservation_residual,
     unvectorize,
     vectorize,
@@ -14,15 +21,15 @@ from purcell_lab.liouvillian import (
     build_displaced,
     build_jc,
     blackbox_perturbation_parts,
-    correlated_dissipation_superoperator,
-    displaced_drive_superoperator,
 )
 from purcell_lab.model import (
     DriveParams,
     SystemParams,
+    bare_hamiltonian,
     displaced_frame,
     polariton_frame,
 )
+from purcell_lab.spectral import coherence_sectors
 
 
 def make_params(**over):
@@ -138,10 +145,11 @@ class TestBuildBlackbox:
         assert np.max(np.abs((full.superop.data - total).toarray())) < 1e-14
 
     def test_correlated_dissipation_trace_preserving(self):
+        params = make_params(kappa_a=0.003, nbar_c0=0.1, nbar_a0=0.05)
+        frame = polariton_frame(params)
+        assert frame.gamma_down != 0.0 and frame.gamma_up != 0.0
         space = TruncatedSpace((4, 3))
-        gen = correlated_dissipation_superoperator(space, 1.3e-3, 0.4e-3)
-        from purcell_lab.fockspace import trace_functional
-
+        gen = blackbox_perturbation_parts(frame, space)["cd"].data
         t = trace_functional(space)
         assert np.max(np.abs(t @ gen.toarray())) <= 1e-15
 
@@ -175,7 +183,11 @@ class TestBuildDisplaced:
         space = TruncatedSpace((3, 3))
         on = build_displaced(dframe, params, space)
         off = build_displaced(dframe, params, space, TermToggles(include_drive=False))
-        diff = (on.superop.data - off.superop.data) - displaced_drive_superoperator(dframe, space).data
+        # reference: -i[V, .] with V = drive_coeff a^dag a^dag a + h.c.
+        a, ad, _ = ladder_operators(space, 1)
+        v = dframe.drive_coeff * (ad @ ad @ a)
+        drive = lindblad_superoperator(v + v.dag(), [])
+        diff = (on.superop.data - off.superop.data) - drive.data
         assert np.max(np.abs(diff.toarray())) < 1e-15
 
     def test_thermal_bath_rejected(self):
@@ -198,8 +210,6 @@ class TestBuildJc:
         params = make_params(g=0.0, nbar_c0=0.1)
         space = TruncatedSpace((4, 2))
         bundle = build_jc(params, space)
-        from purcell_lab.fockspace import ladder_operators
-
         _, _, na = ladder_operators(space, 1)
         rho = np.zeros((8, 8), dtype=complex)
         rho[1, 1] = 1.0  # |0_c, 1_a>
@@ -209,3 +219,81 @@ class TestBuildJc:
     def test_trace_preservation(self):
         bundle = build_jc(make_params(nbar_c0=0.1), TruncatedSpace((6, 2)))
         assert trace_preservation_residual(bundle.superop) <= 1e-12
+
+
+@st.composite
+def dispersive_cases(draw):
+    """Random dispersive parameters, term toggles and a cutoff <= (4, 3)."""
+    rate = st.floats(0.0, 0.05)
+    occupancy = st.floats(0.0, 0.3)
+    params = SystemParams(
+        omega_a=draw(st.sampled_from([1.0, -1.0])),
+        omega_c=0.0,
+        g=draw(st.floats(0.0, 0.25)),
+        U=draw(st.floats(0.0, 0.2)),
+        kappa_a=draw(rate),
+        kappa_c=draw(rate),
+        nbar_a0=draw(occupancy),
+        nbar_c0=draw(occupancy),
+    )
+    toggles = TermToggles(*(draw(st.booleans()) for _ in range(4)))
+    drive = DriveParams(draw(st.floats(0.0, 0.05)), draw(st.floats(-0.5, -0.2)))
+    space = TruncatedSpace((draw(st.integers(2, 4)), draw(st.integers(2, 3))))
+    return params, toggles, drive, space
+
+
+def all_builders(params, toggles, drive, space):
+    cold = replace(params, nbar_a0=0.0, nbar_c0=0.0)
+    return {
+        "bare": build_bare(params, space),
+        "blackbox": build_blackbox(polariton_frame(params), params, space, toggles),
+        "jc": build_jc(replace(params, kappa_a=0.0), TruncatedSpace((space.dims[0], 2))),
+        "displaced": build_displaced(
+            displaced_frame(cold, drive), cold, space, toggles
+        ),
+    }
+
+
+class TestGeneratorProperties:
+    # each example builds four generators; 25 examples keep each test near
+    # 2.5 s
+    @settings(max_examples=25)
+    @given(dispersive_cases())
+    def test_every_builder_preserves_trace_hermiticity_and_blocks(self, case):
+        rng = np.random.default_rng(0)
+        for basis, bundle in all_builders(*case).items():
+            assert trace_preservation_residual(bundle.superop) <= 1e-12, basis
+            n = bundle.space.total_dim
+            m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            deriv = unvectorize(bundle.superop.apply(vectorize(m + m.conj().T)))
+            assert np.max(np.abs(deriv - deriv.conj().T)) <= 1e-12, basis
+            if basis == "displaced":
+                continue  # the residual drive breaks the U(1) symmetry
+            # no entry couples different ket-minus-bra excitation numbers
+            sector = coherence_sectors(bundle.space).sum(axis=1)
+            gen = bundle.superop.data.tocoo()
+            hot = gen.data != 0
+            assert np.array_equal(sector[gen.row[hot]], sector[gen.col[hot]]), basis
+
+    @settings(max_examples=25)
+    @given(dispersive_cases())
+    def test_table_sums_match_references(self, case):
+        params, _, _, space = case
+        frame = polariton_frame(params)
+        full = build_blackbox(frame, params, space).superop.data
+        total = build_blackbox(frame, params, space, ALL_OFF).superop.data
+        for part in blackbox_perturbation_parts(frame, space).values():
+            total = total + part.data
+        assert np.max(np.abs((full - total).toarray())) < 1e-14
+
+        c, cd, _ = ladder_operators(space, 0)
+        a, ad, _ = ladder_operators(space, 1)
+        channels = [
+            (params.kappa_c * (1.0 + params.nbar_c0), c),
+            (params.kappa_c * params.nbar_c0, cd),
+            (params.kappa_a * (1.0 + params.nbar_a0), a),
+            (params.kappa_a * params.nbar_a0, ad),
+        ]
+        reference = lindblad_superoperator(bare_hamiltonian(params, space), channels)
+        diff = build_bare(params, space).superop.data - reference.data
+        assert np.max(np.abs(diff.toarray())) < 1e-14

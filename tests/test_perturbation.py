@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from purcell_lab.fockspace import Superoperator, TruncatedSpace, vectorize
 from purcell_lab.liouvillian import (
@@ -247,7 +248,7 @@ class TestPtCorrections:
     def test_zero_perturbation_short_circuits(self):
         frame, space, modes, _ = self.engine_inputs()
         n2 = space.total_dim**2
-        zero = Superoperator(space, np.zeros((n2, n2), dtype=complex))
+        zero = Superoperator(space, sp.csr_matrix((n2, n2), dtype=complex))
         res = pt_corrections(modes, zero, T1_LABEL)
         assert res.lambda1 == 0.0 and res.lambda2 == 0.0 and res.channels == {}
 

@@ -173,7 +173,7 @@ class TestSpectrum:
         space = TruncatedSpace((2, 2))
         m = sp.lil_matrix((16, 16), dtype=complex)
         m[0, 1] = 1.0  # Jordan block; not diagonalizable
-        bundle = manual_bundle(space, Superoperator(space, m.tocsr(), storage="sparse"))
+        bundle = manual_bundle(space, Superoperator(space, m.tocsr()))
         with pytest.raises(RuntimeError, match="defective"):
             spectrum(bundle, method="dense")
 
@@ -259,7 +259,7 @@ class TestEvolve:
         a, _, n_op = ladder_operators(space, 1)
         h = a @ a.dag() * 0.0
         kappa = 0.37
-        superop = lindblad_superoperator(h, [(kappa, a)], storage="sparse")
+        superop = lindblad_superoperator(h, [(kappa, a)])
         bundle = manual_bundle(space, superop)
         rho0 = np.zeros((6, 6), dtype=complex)
         rho0[1, 1] = 1.0  # |n_c=0, n_a=1>
@@ -273,7 +273,7 @@ class TestEvolve:
         space = TruncatedSpace((2, 2))
         omega = 0.9
         _, _, n_op = ladder_operators(space, 1)
-        superop = lindblad_superoperator(n_op * omega, [], storage="sparse")
+        superop = lindblad_superoperator(n_op * omega, [])
         bundle = manual_bundle(space, superop)
         rho0 = np.zeros((4, 4), dtype=complex)
         rho0[0, 0] = rho0[1, 1] = 0.5
@@ -287,7 +287,7 @@ class TestEvolve:
 
     def test_trace_drift_raises(self):
         space = TruncatedSpace((2, 2))
-        grower = Superoperator(space, sp.identity(16, format="csr") * 0.1, storage="sparse")
+        grower = Superoperator(space, sp.identity(16, format="csr") * 0.1)
         bundle = manual_bundle(space, grower)
         rho0 = np.eye(4, dtype=complex) / 4.0
         with pytest.raises(RuntimeError, match="trace drift"):
