@@ -18,10 +18,11 @@ import argparse
 import json
 import math
 import sys
+import threading
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .fockspace import TruncatedSpace
@@ -32,7 +33,13 @@ from .liouvillian import (
     build_displaced,
     build_jc,
 )
-from .model import DriveParams, SystemParams, displaced_frame, polariton_frame
+from .model import (
+    DriveParams,
+    SystemParams,
+    displaced_frame,
+    displacement,
+    polariton_frame,
+)
 from .perturbation import (
     diagnostics,
     gamma_coherent_analytic,
@@ -56,7 +63,8 @@ CSV_COLUMNS = (
 )
 SWEEP_VARIABLES = ("nbar_c0", "drive_photons", "detuning_sign")
 # Relative drift of the diag rate under a +2 bump of every cutoff, checked
-# once at the most demanding grid point before the sweep runs.
+# once at the most demanding grid point: the bumped solve runs before the
+# points, and its rate is compared with the top row's.
 CONVERGENCE_RTOL = 1e-3
 
 _MODEL_FIELDS = (
@@ -123,6 +131,11 @@ def _require(cond, msg):
         raise ConfigError(msg)
 
 
+def _is_number(value) -> bool:
+    """A JSON number; true/false are booleans, not 1/0."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def load_config(path: str | Path) -> ScenarioConfig:
     """Parse and validate a scenario config JSON file."""
     with open(path, encoding="utf-8") as fh:
@@ -164,11 +177,13 @@ def config_from_dict(raw: dict) -> ScenarioConfig:
     _require(not missing, f"model block missing {sorted(missing)}")
     for key, val in model.items():
         _require(
-            isinstance(val, (int, float)) and math.isfinite(val),
+            _is_number(val) and math.isfinite(val),
             f"model.{key} must be a finite number",
         )
     try:
-        params = SystemParams(**{k: float(v) for k, v in model.items()})
+        params = SystemParams(
+            **{"U": 0.0, "kappa_a": 0.0, **{k: float(v) for k, v in model.items()}}
+        )
     except ValueError as err:
         raise ConfigError(f"model block rejected: {err}") from err
 
@@ -189,7 +204,7 @@ def config_from_dict(raw: dict) -> ScenarioConfig:
         "sweep.grid must be a non-empty list",
     )
     _require(
-        all(isinstance(v, (int, float)) and math.isfinite(v) for v in grid_raw),
+        all(_is_number(v) and math.isfinite(v) for v in grid_raw),
         "sweep.grid entries must be finite numbers",
     )
     grid = tuple(float(v) for v in grid_raw)
@@ -238,14 +253,14 @@ def config_from_dict(raw: dict) -> ScenarioConfig:
     fit_horizon = protocol.get("fit_horizon")
     _require(
         fit_horizon is None
-        or (isinstance(fit_horizon, (int, float)) and fit_horizon > 0),
+        or (_is_number(fit_horizon) and fit_horizon > 0),
         "protocol.fit_horizon must be a positive number or null",
     )
     window_raw = protocol.get("fit_window", [0.95, 1.0])
     _require(
         isinstance(window_raw, list)
         and len(window_raw) == 2
-        and all(isinstance(v, (int, float)) for v in window_raw)
+        and all(_is_number(v) for v in window_raw)
         and 0.0 <= window_raw[0] < window_raw[1] <= 1.0,
         "protocol.fit_window must be [lo, hi] with 0 <= lo < hi <= 1",
     )
@@ -273,7 +288,7 @@ def config_from_dict(raw: dict) -> ScenarioConfig:
         )
         omega_d = drive_raw["omega_D"]
         _require(
-            isinstance(omega_d, (int, float)) and math.isfinite(omega_d),
+            _is_number(omega_d) and math.isfinite(omega_d),
             "drive.omega_D must be a finite number",
         )
         _require(
@@ -301,7 +316,7 @@ def config_from_dict(raw: dict) -> ScenarioConfig:
     _require(not extra, f"unknown units keys: {sorted(extra)}")
     ghz = units.get("delta_over_2pi_GHz")
     _require(
-        ghz is None or (isinstance(ghz, (int, float)) and ghz > 0),
+        ghz is None or (_is_number(ghz) and ghz > 0),
         "units.delta_over_2pi_GHz must be positive",
     )
 
@@ -343,10 +358,8 @@ def _drive_for_photons(
     """
     if photons == 0.0:
         return DriveParams(f_c=0.0, omega_D=omega_d)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # scale probe, not a physical point
-        unit = displaced_frame(params, DriveParams(f_c=1.0, omega_D=omega_d))
-    return DriveParams(f_c=math.sqrt(photons) / abs(unit.alpha_c), omega_D=omega_d)
+    alpha_c, _, _ = displacement(params, DriveParams(f_c=1.0, omega_D=omega_d))
+    return DriveParams(f_c=math.sqrt(photons) / abs(alpha_c), omega_D=omega_d)
 
 
 def _build_point(
@@ -389,39 +402,48 @@ def _flag_text(message) -> str:
     return text.replace(",", "|").replace(";", "|")
 
 
-def _run_point(
-    config: ScenarioConfig, value: float, converged: bool, precheck_note: str
-) -> SweepRow:
+# Warnings of the grid point running on this thread; None outside a point.
+_point_warnings = threading.local()
+
+
+def _record_warning(message, *_):
+    caught = getattr(_point_warnings, "caught", None)
+    if caught is not None:
+        caught.append(message)
+
+
+def _run_point(config: ScenarioConfig, value: float) -> SweepRow:
+    """One grid point: regime flags, then an ``error:`` flag, then the
+    ``warn:`` flags of the warnings it raised.  `run_scenario` sets
+    ``converged`` and adds the precheck note."""
     start = time.perf_counter()
     flags: list[str] = []
-    if precheck_note:
-        flags.append(precheck_note)
+    caught: list = []
+    _point_warnings.caught = caught
     gamma_fit = None
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            bundle, analytic, regime = _build_point(
-                config, value, config.truncation
-            )
-            flags.extend(regime)
-            gamma_diag = t1_rate_diag(bundle).gamma
-            if config.rates in ("fit", "both"):
-                gamma_fit = t1_rate_fit(
-                    bundle,
-                    horizon=config.fit_horizon,
-                    window=config.fit_window,
-                ).gamma
-            if config.comparison == "jc":
-                total, base = analytic, analytic
-                nc_nc = nc_cd = cd_cd = 0.0
-            else:
-                total, base = analytic.total, analytic.base
-                nc_nc, nc_cd, cd_cd = analytic.nc_nc, analytic.nc_cd, analytic.cd_cd
-        except (ValueError, RuntimeError) as err:
-            flags.append("error: " + _flag_text(err))
-            gamma_diag = total = base = nc_nc = nc_cd = cd_cd = math.nan
-            gamma_fit = None
-    flags.extend("warn: " + _flag_text(w.message) for w in caught)
+    try:
+        bundle, analytic, regime = _build_point(config, value, config.truncation)
+        flags.extend(regime)
+        gamma_diag = t1_rate_diag(bundle).gamma
+        if config.rates in ("fit", "both"):
+            gamma_fit = t1_rate_fit(
+                bundle,
+                horizon=config.fit_horizon,
+                window=config.fit_window,
+            ).gamma
+        if config.comparison == "jc":
+            total, base = analytic, analytic
+            nc_nc = nc_cd = cd_cd = 0.0
+        else:
+            total, base = analytic.total, analytic.base
+            nc_nc, nc_cd, cd_cd = analytic.nc_nc, analytic.nc_cd, analytic.cd_cd
+    except (ValueError, RuntimeError) as err:
+        flags.append("error: " + _flag_text(err))
+        gamma_diag = total = base = nc_nc = nc_cd = cd_cd = math.nan
+        gamma_fit = None
+    finally:
+        _point_warnings.caught = None
+    flags.extend("warn: " + _flag_text(m) for m in caught)
     return SweepRow(
         value=value,
         gamma_diag=gamma_diag,
@@ -431,29 +453,43 @@ def _run_point(
         nc_nc=nc_nc,
         nc_cd=nc_cd,
         cd_cd=cd_cd,
-        converged=converged,
+        converged=False,
         flags=tuple(flags),
         wall_time_s=time.perf_counter() - start,
     )
 
 
-def _convergence_precheck(config: ScenarioConfig) -> tuple[bool, float]:
-    """Diag-rate drift under a +2 cutoff bump at the top of the grid.
+def _convergence_precheck(config: ScenarioConfig) -> float:
+    """Diag rate at the top of the grid with every cutoff bumped by 2.
 
     The qubit cutoff is pinned at 2 for the two-level comparison model
     (the model is defined there, not truncated there).
     """
-    value = config.grid[-1]
     d_c, d_a = config.truncation
     bumped = (d_c + 2, d_a if config.comparison == "jc" else d_a + 2)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        base = t1_rate_diag(_build_point(config, value, (d_c, d_a))[0]).gamma
-        wide = t1_rate_diag(_build_point(config, value, bumped)[0]).gamma
+    return t1_rate_diag(_build_point(config, config.grid[-1], bumped)[0]).gamma
+
+
+def _precheck_verdict(
+    top: SweepRow, wide: float, failure: str
+) -> tuple[bool, float, str]:
+    """(converged, drift, note) from the top row and the bumped rate.
+
+    A failed top row outranks a failed bumped solve, which outranks the
+    drift; the note is empty for a converged sweep.
+    """
+    for flag in top.flags:
+        if flag.startswith("error: "):
+            failure = flag[len("error: "):]
+            break
+    if failure:
+        return False, math.nan, "truncation-precheck-failed: " + failure
+    base = top.gamma_diag
     if not math.isfinite(base) or not math.isfinite(wide):
-        return False, math.nan
+        return False, math.nan, "truncation-precheck-exceeded"
     drift = float(abs(wide - base) / max(abs(wide), 1e-300))
-    return drift <= CONVERGENCE_RTOL, drift
+    converged = drift <= CONVERGENCE_RTOL
+    return converged, drift, "" if converged else "truncation-precheck-exceeded"
 
 
 def run_scenario(
@@ -461,29 +497,34 @@ def run_scenario(
 ) -> tuple[list[SweepRow], dict]:
     """Execute every grid point and assemble the run summary.
 
-    Points are independent; with jobs > 1 they run on a thread pool (the
-    heavy numerics release the GIL).  Row order always follows the grid.
-    The summary's ``wall_time_s`` covers the whole call, precheck included.
+    The bumped-cutoff precheck runs first; every point is then solved once,
+    and the top row doubles as the precheck's base rate.  With jobs > 1 the
+    points run on a thread pool (the heavy numerics release the GIL).  Each
+    point records the warnings its own thread raised, so rows (and CSV
+    bytes) do not depend on `jobs`; warnings of the precheck are dropped.
+    Row order always follows the grid.  The summary's ``wall_time_s``
+    covers the whole call, precheck included.
     """
     start = time.perf_counter()
-    try:
-        converged, drift = _convergence_precheck(config)
-        note = "" if converged else "truncation-precheck-exceeded"
-    except (ValueError, RuntimeError) as err:
-        # a guard or solver failure at the largest grid point is a per-point
-        # matter; the sweep itself proceeds and flags each row
-        converged, drift = False, math.nan
-        note = "truncation-precheck-failed: " + _flag_text(err)
-    jobs = max(1, min(jobs, len(config.grid)))
-    if jobs == 1:
-        rows = [_run_point(config, v, converged, note) for v in config.grid]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(_run_point, config, v, converged, note)
-                for v in config.grid
-            ]
-            rows = [f.result() for f in futures]
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        warnings.showwarning = _record_warning
+        try:
+            wide, failure = _convergence_precheck(config), ""
+        except (ValueError, RuntimeError) as err:
+            # a guard or solver failure at the largest grid point is a
+            # per-point matter; the sweep itself proceeds and flags each row
+            wide, failure = math.nan, _flag_text(err)
+        jobs = max(1, min(jobs, len(config.grid)))
+        if jobs == 1:
+            rows = [_run_point(config, v) for v in config.grid]
+        else:
+            with ThreadPoolExecutor(max_workers=jobs) as pool:
+                futures = [pool.submit(_run_point, config, v) for v in config.grid]
+                rows = [f.result() for f in futures]
+    converged, drift, note = _precheck_verdict(rows[-1], wide, failure)
+    prefix = (note,) if note else ()
+    rows = [replace(row, converged=converged, flags=prefix + row.flags) for row in rows]
     summary = {
         "scenario": config.name,
         "points": len(rows),
@@ -655,6 +696,16 @@ def _cmd_validate(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="purcell-lab",
@@ -666,7 +717,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="run a scenario and write the results CSV")
     p.add_argument("--config", required=True, help="scenario config JSON")
     p.add_argument("--out", default=".", help="output directory (default: .)")
-    p.add_argument("--jobs", type=int, default=1, help="worker threads")
+    p.add_argument("--jobs", type=_positive_int, default=1,
+                   help="worker threads (>= 1); the CSV does not depend on it")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("compare", help="cross-check report from a results CSV")
@@ -678,7 +730,8 @@ def build_parser() -> argparse.ArgumentParser:
         "spectrum", help="print the slowest generator modes at the last grid point"
     )
     p.add_argument("--config", required=True, help="scenario config JSON")
-    p.add_argument("--count", type=int, default=10, help="modes to print")
+    p.add_argument("--count", type=_positive_int, default=10,
+                   help="modes to print (>= 1)")
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("validate", help="schema-check a config and exit")

@@ -204,21 +204,22 @@ def polariton_frame(params: SystemParams) -> PolaritonFrame:
     )
 
 
-def displaced_frame(
+def displacement(
     params: SystemParams,
     drive: DriveParams,
     cond_limit: float = 1e8,
-) -> DisplacedFrame:
-    """Solve the displacement problem and dress the frame constants.
+) -> tuple[complex, complex, float]:
+    """Coherent displacements and the condition number of their solve.
 
     The displacements satisfy the linear 2x2 system
 
         [[omega_c - omega_D - i kappa_c/2,  g                              ]
          [g,                                omega_a - omega_D - i kappa_a/2]]
-        @ (alpha_c, alpha_a)^T = (-f_c, 0)^T,
+        @ (alpha_c, alpha_a)^T = (-f_c, 0)^T.
 
-    after which every dressed constant is evaluated with
-    Delta -> delta_prime = Delta - 2U|alpha_a|^2.
+    Returns (alpha_c, alpha_a, condition number).  Raises ValueError when
+    the system is near-singular; emits no warning, so it also serves as a
+    scale probe at unphysical amplitudes.
     """
     m = np.array(
         [
@@ -234,6 +235,20 @@ def displaced_frame(
             "the drive sits too close to a dressed resonance"
         )
     alpha_c, alpha_a = np.linalg.solve(m, np.array([-drive.f_c, 0.0], dtype=complex))
+    return alpha_c, alpha_a, cond
+
+
+def displaced_frame(
+    params: SystemParams,
+    drive: DriveParams,
+    cond_limit: float = 1e8,
+) -> DisplacedFrame:
+    """Solve the displacement problem and dress the frame constants.
+
+    The displacements come from `displacement`; every dressed constant is
+    then evaluated with Delta -> delta_prime = Delta - 2U|alpha_a|^2.
+    """
+    alpha_c, alpha_a, cond = displacement(params, drive, cond_limit)
 
     n_drive = float(abs(alpha_a) ** 2)
     if n_drive > DISPLACEMENT_WARN:

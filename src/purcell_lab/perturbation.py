@@ -26,7 +26,13 @@ from .fockspace import (
 )
 from .liouvillian import GeneratorBundle, blackbox_perturbation_parts
 from .model import DisplacedFrame, PolaritonFrame, SystemParams
-from .spectral import ModeLabel, SpectralMode, t1_rate_diag, t1_rate_fit
+from .spectral import (
+    ModeLabel,
+    SpectralMode,
+    steady_state,
+    t1_rate_diag,
+    t1_rate_fit,
+)
 
 # Relative gap below which the perturbation target counts as degenerate.
 DEGENERACY_RTOL = 1e-9
@@ -723,15 +729,18 @@ def rate_report(
     Runs the eigenmode protocol, the time-domain fit, the analytic
     formulas, and the perturbation engine on the same bundle.  Only
     meaningful for the dressed-frame ("blackbox") basis, whose analytic
-    formulas these are.
+    formulas these are.  Both numeric protocols share one steady state.
     """
     if bundle.basis != "blackbox":
         raise ValueError(
             f"rate_report needs a dressed-frame generator, got basis "
             f"{bundle.basis!r}"
         )
-    gamma_diag = t1_rate_diag(bundle).gamma
-    gamma_fit = t1_rate_fit(bundle, horizon=horizon, window=window).gamma
+    rho_ss = steady_state(bundle)
+    gamma_diag = t1_rate_diag(bundle, rho_ss=rho_ss).gamma
+    gamma_fit = t1_rate_fit(
+        bundle, horizon=horizon, window=window, rho_ss=rho_ss
+    ).gamma
     analytic = gamma_thermal_analytic(bundle.frame)
     pt = gamma_thermal_pt(bundle.frame, bundle.params, bundle.space)
     discrepancies = {

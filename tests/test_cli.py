@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -81,11 +82,33 @@ class TestConfigSchema:
             ({"model": {"flux": 0.3}}, "unknown model keys"),
             ({"toggles": {"include_nc": 1}}, "booleans"),
             ({"output": {"csv": "../escape.csv"}}, "bare"),
+            # JSON booleans are not numbers
+            ({"model": {"kappa_c": True}}, "model.kappa_c"),
+            ({"sweep": {"grid": [False, True]}}, "sweep.grid"),
+            ({"protocol": {"fit_horizon": True}}, "fit_horizon"),
+            ({"protocol": {"fit_window": [False, True]}}, "fit_window"),
+            (
+                {
+                    "sweep": {"variable": "drive_photons", "grid": [0.0, 1.0]},
+                    "drive": {"omega_D": True},
+                },
+                "omega_D",
+            ),
+            ({"units": {"delta_over_2pi_GHz": True}}, "delta_over_2pi_GHz"),
         ],
     )
     def test_schema_violations(self, over, match):
         with pytest.raises(ConfigError, match=match):
             config_from_dict(make_config(**over))
+
+    def test_optional_model_fields_default_to_zero(self, tmp_path):
+        raw = make_config()
+        del raw["model"]["U"], raw["model"]["kappa_a"]
+        config = config_from_dict(raw)
+        assert (config.params.U, config.params.kappa_a) == (0.0, 0.0)
+        path = tmp_path / "minimal.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["validate", "--config", str(path)]) == 0
 
     def test_jc_requires_two_level_qubit(self):
         with pytest.raises(ConfigError, match="two-level"):
@@ -141,16 +164,68 @@ class TestRunScenario:
             assert row.converged is True
             assert row.gamma_fit is None
 
-    def test_parallel_matches_serial(self):
-        config = config_from_dict(make_config(sweep={"grid": [0.0, 0.01, 0.02]}))
-        serial, _ = run_scenario(config, jobs=1)
-        threaded, _ = run_scenario(config, jobs=3)
-        for a, b in zip(serial, threaded):
-            assert (a.value, a.gamma_diag, a.gamma_analytic_total, a.flags) == (
-                b.value,
-                b.gamma_diag,
-                b.gamma_analytic_total,
-                b.flags,
+    def test_parallel_matches_serial(self, monkeypatch):
+        # the bumped-cutoff precheck is deterministic and dominates a sweep
+        # of the (4, 3) grid (dense (6, 5) solve), so repeats reuse it
+        precheck, memo = purcell_lab.cli._convergence_precheck, {}
+
+        def reused(config):
+            if config not in memo:
+                memo[config] = precheck(config)
+            return memo[config]
+
+        monkeypatch.setattr(purcell_lab.cli, "_convergence_precheck", reused)
+        quiet = config_from_dict(make_config(sweep={"grid": [0.0, 0.01, 0.02]}))
+        # every point of this grid warns (occupancy above the formulas'
+        # validity), so the rows show whose warnings each point recorded
+        warning = config_from_dict(
+            make_config(
+                truncation=[4, 3],
+                sweep={"grid": [0.25, 0.3, 0.35, 0.4, 0.45, 0.5]},
+            )
+        )
+        for config, jobs, repeats in ((quiet, 3, 1), (warning, 2, 5)):
+            serial = [replace(r, wall_time_s=0.0) for r in run_scenario(config)[0]]
+            if config is warning:
+                assert all(any(f.startswith("warn:") for f in r.flags) for r in serial)
+            for _ in range(repeats):
+                threaded, _ = run_scenario(config, jobs=jobs)
+                assert [replace(r, wall_time_s=0.0) for r in threaded] == serial
+
+    def test_sweep_solves_each_point_once(self, monkeypatch):
+        # one diag solve per grid point plus the bumped-cutoff precheck;
+        # the precheck's base rate is the top row's
+        solve = purcell_lab.cli.t1_rate_diag
+        calls = []
+
+        def counted(bundle, *args, **kwargs):
+            calls.append(bundle.space.dims)
+            return solve(bundle, *args, **kwargs)
+
+        monkeypatch.setattr(purcell_lab.cli, "t1_rate_diag", counted)
+        config = config_from_dict(
+            make_config(truncation=[3, 2], sweep={"grid": [0.0, 0.01, 0.02]})
+        )
+        rows, summary = run_scenario(config)
+        assert calls == [(5, 4), (3, 2), (3, 2), (3, 2)]
+        direct = solve(purcell_lab.cli._build_point(config, 0.02, (5, 4))[0]).gamma
+        drift = abs(direct - rows[-1].gamma_diag) / abs(direct)
+        assert summary["precheck_drift"] == drift
+
+    def test_top_row_fit_failure_fails_the_precheck(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise RuntimeError("injected fit failure")
+
+        monkeypatch.setattr(purcell_lab.cli, "t1_rate_fit", fail)
+        config = config_from_dict(
+            make_config(protocol={"rates": "both"}, sweep={"grid": [0.0, 0.02]})
+        )
+        rows, summary = run_scenario(config)
+        assert summary["converged"] is False and math.isnan(summary["precheck_drift"])
+        for row in rows:
+            assert row.flags == (
+                "truncation-precheck-failed: injected fit failure",
+                "error: injected fit failure",
             )
 
     def test_precheck_failure_flags_every_row(self):
@@ -405,6 +480,28 @@ class TestCliEntry:
             assert "truncation-precheck-failed: injected solver failure" in row.flags
             assert "error: injected solver failure" in row.flags
             assert math.isnan(row.gamma_diag)
+
+    @pytest.mark.parametrize(
+        "command,option,value",
+        [
+            ("spectrum", "--count", "-250"),
+            ("spectrum", "--count", "0"),
+            ("sweep", "--jobs", "-5"),
+            ("sweep", "--jobs", "0"),
+        ],
+    )
+    def test_counts_below_one_are_usage_errors(
+        self, tmp_path, capsys, command, option, value
+    ):
+        config_path = write_config(tmp_path)
+        argv = [command, "--config", str(config_path), option, value]
+        if command == "sweep":
+            argv += ["--out", str(tmp_path / "out")]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert ">= 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_spectrum_prints_labeled_ladder(self, tmp_path, capsys):
         config_path = write_config(tmp_path)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from purcell_lab.model import (
     bare_hamiltonian,
     polariton_frame,
     displaced_frame,
+    displacement,
 )
 
 
@@ -202,6 +205,19 @@ class TestDisplacedFrame:
         p = make_params(U=0.1)
         with pytest.warns(UserWarning, match="alpha_a"):
             displaced_frame(p, DriveParams(6.0, -0.1))
+
+    def test_displacement_matches_frame_without_warning(self):
+        # the unit-amplitude scale probe of a drive sweep: |alpha_a|^2 is
+        # far above the frame's warning threshold, yet the bare solve is quiet
+        p = make_params(U=0.1)
+        drive = DriveParams(6.0, -0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            alpha_c, alpha_a, cond = displacement(p, drive)
+        with pytest.warns(UserWarning, match="alpha_a"):
+            dframe = displaced_frame(p, drive)
+        assert (complex(alpha_c), complex(alpha_a)) == (dframe.alpha_c, dframe.alpha_a)
+        assert cond == dframe.condition_number
 
     def test_drive_coeff(self):
         p = make_params(U=0.1)

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import purcell_lab.perturbation
+import purcell_lab.spectral
 from purcell_lab.fockspace import Superoperator, TruncatedSpace, vectorize
 from purcell_lab.liouvillian import (
     blackbox_perturbation_parts,
@@ -34,7 +36,7 @@ from purcell_lab.perturbation import (
     rate_report,
     unperturbed_modes,
 )
-from purcell_lab.spectral import ModeLabel, SpectralMode, t1_rate_diag
+from purcell_lab.spectral import ModeLabel, SpectralMode, t1_rate_diag, t1_rate_fit
 
 T1_LABEL = ModeLabel(m_c=0, m_a=0, k=1, kind="T1")
 
@@ -525,6 +527,24 @@ class TestRateReport:
         assert abs(report.discrepancies["fit_vs_diag"]) <= 2e-2
         assert abs(report.discrepancies["pt_vs_diag"]) <= 1e-3
         assert abs(report.discrepancies["analytic_vs_diag"]) <= 1e-3
+
+    def test_one_steady_state_solve(self, monkeypatch):
+        params, frame = thermal_frame(nbar_c0=0.05)
+        bundle = build_blackbox(frame, params, TruncatedSpace((4, 3)))
+        expected = (t1_rate_diag(bundle).gamma, t1_rate_fit(bundle).gamma)
+        solve = purcell_lab.spectral.steady_state
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        for module in (purcell_lab.spectral, purcell_lab.perturbation):
+            monkeypatch.setattr(module, "steady_state", counted, raising=False)
+        report = rate_report(bundle)
+        assert len(calls) == 1
+        # sharing the state leaves both protocols' rates bit for bit as is
+        assert (report.gamma_diag, report.gamma_fit) == expected
 
     def test_non_blackbox_basis_rejected(self):
         params = make_params()
