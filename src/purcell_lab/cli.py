@@ -46,7 +46,7 @@ from .perturbation import (
     gamma_jc_analytic,
     gamma_thermal_analytic,
 )
-from .spectral import block_labels, t1_rate_diag, t1_rate_fit
+from .spectral import block_labels, steady_state, t1_rate_diag, t1_rate_fit
 
 CSV_SCHEMA = "purcell-lab/sweep-v1"
 CSV_COLUMNS = (
@@ -253,8 +253,12 @@ def config_from_dict(raw: dict) -> ScenarioConfig:
     fit_horizon = protocol.get("fit_horizon")
     _require(
         fit_horizon is None
-        or (_is_number(fit_horizon) and fit_horizon > 0),
-        "protocol.fit_horizon must be a positive number or null",
+        or (
+            _is_number(fit_horizon)
+            and math.isfinite(fit_horizon)
+            and fit_horizon > 0
+        ),
+        "protocol.fit_horizon must be a positive finite number or null",
     )
     window_raw = protocol.get("fit_window", [0.95, 1.0])
     _require(
@@ -316,8 +320,8 @@ def config_from_dict(raw: dict) -> ScenarioConfig:
     _require(not extra, f"unknown units keys: {sorted(extra)}")
     ghz = units.get("delta_over_2pi_GHz")
     _require(
-        ghz is None or (_is_number(ghz) and ghz > 0),
-        "units.delta_over_2pi_GHz must be positive",
+        ghz is None or (_is_number(ghz) and math.isfinite(ghz) and ghz > 0),
+        "units.delta_over_2pi_GHz must be a positive finite number",
     )
 
     return ScenarioConfig(
@@ -424,12 +428,14 @@ def _run_point(config: ScenarioConfig, value: float) -> SweepRow:
     try:
         bundle, analytic, regime = _build_point(config, value, config.truncation)
         flags.extend(regime)
-        gamma_diag = t1_rate_diag(bundle).gamma
+        rho_ss = steady_state(bundle)  # shared by both protocols
+        gamma_diag = t1_rate_diag(bundle, rho_ss=rho_ss).gamma
         if config.rates in ("fit", "both"):
             gamma_fit = t1_rate_fit(
                 bundle,
                 horizon=config.fit_horizon,
                 window=config.fit_window,
+                rho_ss=rho_ss,
             ).gamma
         if config.comparison == "jc":
             total, base = analytic, analytic

@@ -33,6 +33,7 @@ from .fockspace import OperatorMatrix, TruncatedSpace, ladder_operators
 DISPERSIVE_ERROR = 0.5
 DISPERSIVE_WARN = 0.3
 DISPLACEMENT_WARN = 0.2  # |alpha_a|^2 above which the expansion is suspect
+COND_LIMIT = 1e8  # condition number above which displacement() refuses
 
 
 @dataclass(frozen=True)
@@ -205,9 +206,7 @@ def polariton_frame(params: SystemParams) -> PolaritonFrame:
 
 
 def displacement(
-    params: SystemParams,
-    drive: DriveParams,
-    cond_limit: float = 1e8,
+    params: SystemParams, drive: DriveParams
 ) -> tuple[complex, complex, float]:
     """Coherent displacements and the condition number of their solve.
 
@@ -218,8 +217,8 @@ def displacement(
         @ (alpha_c, alpha_a)^T = (-f_c, 0)^T.
 
     Returns (alpha_c, alpha_a, condition number).  Raises ValueError when
-    the system is near-singular; emits no warning, so it also serves as a
-    scale probe at unphysical amplitudes.
+    the condition number exceeds ``COND_LIMIT``; emits no warning, so it
+    also serves as a scale probe at unphysical amplitudes.
     """
     m = np.array(
         [
@@ -229,7 +228,7 @@ def displacement(
         dtype=complex,
     )
     cond = float(np.linalg.cond(m))
-    if not np.isfinite(cond) or cond > cond_limit:
+    if not np.isfinite(cond) or cond > COND_LIMIT:
         raise ValueError(
             f"displacement solve is near-singular (condition number {cond:.3g}); "
             "the drive sits too close to a dressed resonance"
@@ -238,17 +237,13 @@ def displacement(
     return alpha_c, alpha_a, cond
 
 
-def displaced_frame(
-    params: SystemParams,
-    drive: DriveParams,
-    cond_limit: float = 1e8,
-) -> DisplacedFrame:
+def displaced_frame(params: SystemParams, drive: DriveParams) -> DisplacedFrame:
     """Solve the displacement problem and dress the frame constants.
 
     The displacements come from `displacement`; every dressed constant is
     then evaluated with Delta -> delta_prime = Delta - 2U|alpha_a|^2.
     """
-    alpha_c, alpha_a, cond = displacement(params, drive, cond_limit)
+    alpha_c, alpha_a, cond = displacement(params, drive)
 
     n_drive = float(abs(alpha_a) ** 2)
     if n_drive > DISPLACEMENT_WARN:

@@ -225,7 +225,6 @@ def unperturbed_modes(
     frame: PolaritonFrame,
     cutoffs,
     sectors,
-    validate: bool = True,
 ) -> UnperturbedModeSet:
     """Assemble closed-form product modes for the requested sectors.
 
@@ -239,9 +238,9 @@ def unperturbed_modes(
         Coherence sector of each requested mode plus the qubit family index
         k.  The cavity factor is its steady mode for m_c = 0 and its lowest
         coherence mode for m_c = +/-1; k indexes the qubit family.
-    validate : bool
-        When True (default), check every distinct factor mode against a
-        brute-force single-mode block, excluding the top two Fock levels.
+
+    Every distinct factor mode is checked against a brute-force single-mode
+    block to ``RESIDUAL_RTOL``, excluding the top two Fock levels.
 
     Returns
     -------
@@ -296,22 +295,21 @@ def unperturbed_modes(
                 ma, k, d_a, frame.omega_a_t, kerr, frame.kappa_a_t, frame.n_a_t
             )
 
-    if validate:
-        blocks = {
-            "c": decoupled_block(d_c, frame.omega_c_t, 0.0, frame.kappa_c_t, frame.n_c_t),
-            "a": decoupled_block(d_a, frame.omega_a_t, kerr, frame.kappa_a_t, frame.n_a_t),
-        }
-        masks = {"c": _edge_mask(d_c), "a": _edge_mask(d_a)}
-        for (side, m, k), (lam, right, left) in factors.items():
-            scale = float(np.abs(np.diag(blocks[side])).max())
-            tol = RESIDUAL_RTOL * scale
-            tol_r = tol_l = tol
-            if side == "a" and m != 0:
-                bound_r, bound_l = _kerr_residual_bound(k, frame.n_a_t, frame.kappa_a_t)
-                tol_r, tol_l = tol + bound_r, tol + bound_l
-            _validate_factor(
-                side, blocks[side], masks[side], lam, right, left, tol_r, tol_l
-            )
+    blocks = {
+        "c": decoupled_block(d_c, frame.omega_c_t, 0.0, frame.kappa_c_t, frame.n_c_t),
+        "a": decoupled_block(d_a, frame.omega_a_t, kerr, frame.kappa_a_t, frame.n_a_t),
+    }
+    masks = {"c": _edge_mask(d_c), "a": _edge_mask(d_a)}
+    for (side, m, k), (lam, right, left) in factors.items():
+        scale = float(np.abs(np.diag(blocks[side])).max())
+        tol = RESIDUAL_RTOL * scale
+        tol_r = tol_l = tol
+        if side == "a" and m != 0:
+            bound_r, bound_l = _kerr_residual_bound(k, frame.n_a_t, frame.kappa_a_t)
+            tol_r, tol_l = tol + bound_r, tol + bound_l
+        _validate_factor(
+            side, blocks[side], masks[side], lam, right, left, tol_r, tol_l
+        )
 
     modes = []
     for mc, ma, k in seen:
@@ -719,17 +717,14 @@ class RateReport:
                 raise ValueError(f"{name} = {value!r} is not a positive rate")
 
 
-def rate_report(
-    bundle: GeneratorBundle,
-    horizon: float | None = None,
-    window: tuple[float, float] = (0.95, 1.0),
-) -> RateReport:
+def rate_report(bundle: GeneratorBundle) -> RateReport:
     """Full rate cross-check of one dressed-model generator.
 
-    Runs the eigenmode protocol, the time-domain fit, the analytic
-    formulas, and the perturbation engine on the same bundle.  Only
-    meaningful for the dressed-frame ("blackbox") basis, whose analytic
-    formulas these are.  Both numeric protocols share one steady state.
+    Runs the eigenmode protocol, the time-domain fit (default horizon and
+    ``spectral.FIT_WINDOW``), the analytic formulas, and the perturbation
+    engine on the same bundle.  Only meaningful for the dressed-frame
+    ("blackbox") basis, whose analytic formulas these are.  Both numeric
+    protocols share one steady state.
     """
     if bundle.basis != "blackbox":
         raise ValueError(
@@ -738,9 +733,7 @@ def rate_report(
         )
     rho_ss = steady_state(bundle)
     gamma_diag = t1_rate_diag(bundle, rho_ss=rho_ss).gamma
-    gamma_fit = t1_rate_fit(
-        bundle, horizon=horizon, window=window, rho_ss=rho_ss
-    ).gamma
+    gamma_fit = t1_rate_fit(bundle, rho_ss=rho_ss).gamma
     analytic = gamma_thermal_analytic(bundle.frame)
     pt = gamma_thermal_pt(bundle.frame, bundle.params, bundle.space)
     discrepancies = {

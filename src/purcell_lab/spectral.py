@@ -31,8 +31,22 @@ _DENSE_LIMIT = 1300
 # Relative eigenvalue spacing below which modes are treated as one
 # near-degenerate cluster during biorthonormalization.
 _CLUSTER_RTOL = 1e-9
+# Default mode count of the sparse path, and its shift in units of
+# bundle.t1_rate_scale (favoring the slow relaxation ladder).
+SPARSE_COUNT = 12
+SPARSE_SHIFT = -0.5
+# Steady-state eigenvalue below which the null vector is not a physical state.
+PSD_FLOOR = -1e-10
 # Weight floor for the excited-mode search in the eigenmode rate protocol.
 WEIGHT_FLOOR = 1e-8
+# Share of a mode's weight that one coherence sector must hold to label it.
+SUPPORT_FRACTION = 0.9
+# Relative trace drift at which `evolve` gives up.
+TRACE_TOL = 1e-9
+# Time steps, fractional tail window and rejection residual of `t1_rate_fit`.
+FIT_STEPS = 400
+FIT_WINDOW = (0.95, 1.0)
+FIT_RESIDUAL_TOL = 1e-2
 
 
 @dataclass
@@ -123,11 +137,11 @@ def _eigs_with_retry(mat, k, sigma, dim, attempts=3):
     )
 
 
-def steady_state(bundle: GeneratorBundle, psd_floor: float = -1e-10) -> np.ndarray:
+def steady_state(bundle: GeneratorBundle) -> np.ndarray:
     """Unique trace-1 steady density matrix of the generator.
 
     Raises RuntimeError when the steady space is degenerate or the null
-    vector is not a physical state (eigenvalues below ``psd_floor``).
+    vector is not a physical state (eigenvalues below ``PSD_FLOOR``).
     Small negative populations above the floor are clipped away with a
     warning and the state renormalized.
     """
@@ -158,10 +172,10 @@ def steady_state(bundle: GeneratorBundle, psd_floor: float = -1e-10) -> np.ndarr
         raise RuntimeError("steady null vector is traceless")
     rho = rho / tr
     evals, evecs = np.linalg.eigh(rho)
-    if evals.min() < psd_floor:
+    if evals.min() < PSD_FLOOR:
         raise RuntimeError(
             f"steady state is not positive semidefinite: min eigenvalue "
-            f"{evals.min():.3e} below floor {psd_floor:.1e}"
+            f"{evals.min():.3e} below floor {PSD_FLOOR:.1e}"
         )
     if evals.min() < -1e-14:
         warnings.warn(
@@ -214,34 +228,21 @@ def _biorthonormalize(modes: list[SpectralMode], mag: float) -> None:
 
 
 def spectrum(
-    bundle: GeneratorBundle,
-    count: int | None = None,
-    normalize: bool = True,
-    method: str = "auto",
-    sigma: complex | None = None,
+    bundle: GeneratorBundle, count: int | None = None
 ) -> list[SpectralMode]:
-    """Slowest eigenmodes of the generator, sorted by |Re lambda| ascending.
+    """Slowest eigenmodes of the generator, sorted by |Re lambda| ascending,
+    biorthonormalized.
 
-    Parameters
-    ----------
-    count : number of modes to return (None = all computed; the sparse
-        path defaults to 12).
-    method : "auto" picks dense full diagonalization for small
-        superoperators and shift-invert ARPACK otherwise.
-    sigma : sparse-path shift; defaults to -0.5 * bundle.t1_rate_scale so
-        the slow relaxation ladder is favored.
+    Superoperators up to ``_DENSE_LIMIT`` are diagonalized in full; larger
+    ones go through shift-invert ARPACK at ``SPARSE_SHIFT *
+    bundle.t1_rate_scale``.  ``count`` is the number of modes to return
+    (None = all computed; the sparse path defaults to ``SPARSE_COUNT``).
     """
     superop = bundle.superop
     dim = superop.data.shape[0]
-    if method == "auto":
-        method = "dense" if dim <= _DENSE_LIMIT else "sparse"
     mag = superop.max_abs()
 
-    if method == "dense":
-        if dim > 20000:
-            raise ValueError(
-                f"dense diagonalization infeasible at superoperator dim {dim}"
-            )
+    if dim <= _DENSE_LIMIT:
         mat = superop.as_dense()
         w, rights = np.linalg.eig(mat)
         lefts = np.linalg.inv(rights).conj().T
@@ -252,11 +253,11 @@ def spectrum(
             SpectralMode(lam=w[i], right=rights[:, i].copy(), left=lefts[:, i].copy())
             for i in order
         ]
-    elif method == "sparse":
+    else:
         if count is None:
-            count = 12
+            count = SPARSE_COUNT
         k = max(count + 4, 12)
-        sig = sigma if sigma is not None else -0.5 * bundle.t1_rate_scale
+        sig = SPARSE_SHIFT * bundle.t1_rate_scale
         mat = superop.data.tocsc()
         adjoint = mat.conj().T.tocsc()
         # The forward and adjoint solver windows may disagree on which
@@ -287,8 +288,6 @@ def spectrum(
             SpectralMode(lam=wr[i], right=vr[:, i].copy(), left=vl[:, j].copy())
             for i, j in pairs
         ]
-    else:
-        raise ValueError(f"unknown method {method!r}")
 
     # defectiveness / convergence check on the raw (unit-norm-ish) vectors
     lop = superop.data
@@ -300,17 +299,16 @@ def spectrum(
                 "generator may be defective or the solver did not converge"
             )
 
-    if normalize:
-        _biorthonormalize(modes, mag)
-        check = modes if len(modes) <= 300 else modes[:50]
-        lmat = np.column_stack([m.left for m in check])
-        rmat = np.column_stack([m.right for m in check])
-        gram = lmat.conj().T @ rmat
-        lams = np.array([m.lam for m in check])
-        distinct = np.abs(lams[:, None] - lams[None, :]) >= _CLUSTER_RTOL * mag
-        gram[distinct] = 0.0  # cross terms between distinct eigenvalues are exact zeros in theory
-        if np.max(np.abs(gram - np.eye(len(check)))) > 1e-9:
-            raise RuntimeError("biorthonormalization failed beyond 1e-9")
+    _biorthonormalize(modes, mag)
+    check = modes if len(modes) <= 300 else modes[:50]
+    lmat = np.column_stack([m.left for m in check])
+    rmat = np.column_stack([m.right for m in check])
+    gram = lmat.conj().T @ rmat
+    lams = np.array([m.lam for m in check])
+    distinct = np.abs(lams[:, None] - lams[None, :]) >= _CLUSTER_RTOL * mag
+    gram[distinct] = 0.0  # cross terms between distinct eigenvalues are exact zeros in theory
+    if np.max(np.abs(gram - np.eye(len(check)))) > 1e-9:
+        raise RuntimeError("biorthonormalization failed beyond 1e-9")
     return modes
 
 
@@ -318,11 +316,10 @@ def block_labels(
     bundle: GeneratorBundle,
     modes: list[SpectralMode] | None = None,
     count: int | None = None,
-    support_fraction: float = 0.9,
 ) -> list[SpectralMode]:
     """Label modes by coherence sector; returns the modes with label set.
 
-    A mode gets the (m_c, m_a) sector holding at least ``support_fraction``
+    A mode gets the (m_c, m_a) sector holding at least ``SUPPORT_FRACTION``
     of its right vector's weight, or a "mixed" label otherwise.  k ranks
     modes within each sector by |Re lambda| ascending.
     """
@@ -335,7 +332,7 @@ def block_labels(
         p = np.abs(mode.right) ** 2
         w = np.bincount(inv, weights=p, minlength=len(uniq))
         best = int(np.argmax(w))
-        if w[best] >= support_fraction * p.sum():
+        if w[best] >= SUPPORT_FRACTION * p.sum():
             m_c, m_a = int(uniq[best][0]), int(uniq[best][1])
             kind = "T1" if (m_c == 0 and m_a == 0) else "T2"
             assignments.append((m_c, m_a, kind))
@@ -362,27 +359,20 @@ def _injected_excitation(bundle: GeneratorBundle, rho_ss: np.ndarray) -> np.ndar
 
 
 def t1_rate_diag(
-    bundle: GeneratorBundle,
-    count: int | None = None,
-    weight_floor: float = WEIGHT_FLOOR,
-    rho_ss: np.ndarray | None = None,
-    modes: list[SpectralMode] | None = None,
+    bundle: GeneratorBundle, rho_ss: np.ndarray | None = None
 ) -> T1DiagResult:
     """Eigenmode readout of the slow qubit relaxation rate.
 
     Injects one qubit excitation on top of the steady state, computes mode
-    weights w = <l, rho0>, and selects the excited mode by two criteria
-    (slowest decaying above the weight floor; largest weight).  Their
-    disagreement is flagged in the result and as a warning.
+    weights w = <l, rho0> over the default `spectrum`, and selects the
+    excited mode by two criteria (slowest decaying above ``WEIGHT_FLOOR``;
+    largest weight).  Their disagreement is flagged in the result and as a
+    warning.
     """
     if rho_ss is None:
         rho_ss = steady_state(bundle)
     rho0 = _injected_excitation(bundle, rho_ss)
-    if modes is None:
-        dim = bundle.superop.data.shape[0]
-        modes = spectrum(
-            bundle, count=None if dim <= _DENSE_LIMIT else max(count or 12, 12)
-        )
+    modes = spectrum(bundle)
     v0 = vectorize(rho0)
     scale = bundle.t1_rate_scale
     excited = []
@@ -390,10 +380,10 @@ def t1_rate_diag(
         m.weight = complex(np.vdot(m.left, v0))
         if abs(m.lam) > 1e-6 * scale:
             excited.append(m)
-    candidates = [m for m in excited if abs(m.weight) > weight_floor]
+    candidates = [m for m in excited if abs(m.weight) > WEIGHT_FLOOR]
     if not candidates:
         raise RuntimeError(
-            f"no excited eigenmode carries weight above {weight_floor:.1e}"
+            f"no excited eigenmode carries weight above {WEIGHT_FLOOR:.1e}"
         )
     slowest = min(candidates, key=lambda m: abs(m.lam.real))
     heaviest = max(excited, key=lambda m: abs(m.weight))
@@ -414,17 +404,12 @@ def t1_rate_diag(
     )
 
 
-def evolve(
-    bundle: GeneratorBundle,
-    rho0: np.ndarray,
-    times,
-    trace_tol: float = 1e-9,
-) -> np.ndarray:
+def evolve(bundle: GeneratorBundle, rho0: np.ndarray, times) -> np.ndarray:
     """Propagate rho0 through the generator; returns (len(times), N, N).
 
     Uses one dense matrix exponential per distinct time step (steps equal
     to within 1e-9 relative are grouped), then repeated matrix-vector
-    products.  Trace drift beyond ``trace_tol`` raises.
+    products.  Relative trace drift beyond ``TRACE_TOL`` raises.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
@@ -456,9 +441,9 @@ def evolve(
         if key != 0.0:
             v = props[key] @ v
         drift = abs(t_func @ v - tr0)
-        if drift > trace_tol * max(1.0, abs(tr0)):
+        if drift > TRACE_TOL * max(1.0, abs(tr0)):
             raise RuntimeError(
-                f"trace drift {drift:.3e} at t={times[i]:.6e} exceeds {trace_tol:.1e}"
+                f"trace drift {drift:.3e} at t={times[i]:.6e} exceeds {TRACE_TOL:.1e}"
             )
         out[i] = unvectorize(v, bundle.space)
     return out
@@ -468,7 +453,7 @@ def fit_exponential_tail(
     times: np.ndarray,
     values: np.ndarray,
     ss_value: float,
-    window: tuple[float, float] = (0.95, 1.0),
+    window: tuple[float, float] = FIT_WINDOW,
 ) -> FitResult:
     """Fit values(t) - ss_value ~ A exp(-gamma t) on a fractional window.
 
@@ -513,17 +498,16 @@ def fit_exponential_tail(
 def t1_rate_fit(
     bundle: GeneratorBundle,
     horizon: float | None = None,
-    window: tuple[float, float] = (0.95, 1.0),
-    n_steps: int = 400,
-    residual_tol: float = 1e-2,
+    window: tuple[float, float] = FIT_WINDOW,
     rho_ss: np.ndarray | None = None,
 ) -> FitResult:
     """Time-domain readout of the slow qubit relaxation rate.
 
-    Evolves the injected-excitation state on a uniform grid out to
-    ``horizon`` (default 20 / t1_rate_scale, late enough for fast modes to
-    die), then fits the tail of <n_qubit>(t).  A fit residual above
-    ``residual_tol`` rejects the fit.
+    Evolves the injected-excitation state on a uniform grid of
+    ``FIT_STEPS`` steps out to ``horizon`` (default 20 / t1_rate_scale,
+    late enough for fast modes to die), then fits the tail of
+    <n_qubit>(t).  A fit residual above ``FIT_RESIDUAL_TOL`` rejects the
+    fit.
     """
     scale = bundle.t1_rate_scale
     horizon = horizon if horizon is not None else 20.0 / scale
@@ -531,15 +515,15 @@ def t1_rate_fit(
         rho_ss = steady_state(bundle)
     rho0 = _injected_excitation(bundle, rho_ss)
     _, _, n_qubit = ladder_operators(bundle.space, 1)
-    times = np.linspace(0.0, horizon, n_steps + 1)
+    times = np.linspace(0.0, horizon, FIT_STEPS + 1)
     traj = evolve(bundle, rho0, times)
     nvals = np.einsum("tij,ji->t", traj, n_qubit.data).real
     n_ss = float(np.trace(n_qubit.data @ rho_ss).real)
     result = fit_exponential_tail(times, nvals, n_ss, window)
-    if result.residual > residual_tol:
+    if result.residual > FIT_RESIDUAL_TOL:
         raise RuntimeError(
             f"fit rejected: relative residual {result.residual:.3e} exceeds "
-            f"{residual_tol:.1e} (window likely contains transients)"
+            f"{FIT_RESIDUAL_TOL:.1e} (window likely contains transients)"
         )
     return result
 

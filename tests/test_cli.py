@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import purcell_lab.cli
+import purcell_lab.spectral
 from purcell_lab.cli import (
     ConfigError,
     SweepRow,
@@ -25,7 +26,7 @@ from purcell_lab.fockspace import TruncatedSpace
 from purcell_lab.liouvillian import build_blackbox, build_jc
 from purcell_lab.model import DriveParams, SystemParams, displaced_frame, polariton_frame
 from purcell_lab.perturbation import gamma_jc_analytic, gamma_thermal_analytic
-from purcell_lab.spectral import t1_rate_diag
+from purcell_lab.spectral import t1_rate_diag, t1_rate_fit
 
 BASE_CONFIG = {
     "name": "unit",
@@ -95,6 +96,9 @@ class TestConfigSchema:
                 "omega_D",
             ),
             ({"units": {"delta_over_2pi_GHz": True}}, "delta_over_2pi_GHz"),
+            # Python's json parses Infinity
+            ({"protocol": {"fit_horizon": float("inf")}}, "fit_horizon"),
+            ({"units": {"delta_over_2pi_GHz": float("inf")}}, "delta_over_2pi_GHz"),
         ],
     )
     def test_schema_violations(self, over, match):
@@ -211,6 +215,33 @@ class TestRunScenario:
         direct = solve(purcell_lab.cli._build_point(config, 0.02, (5, 4))[0]).gamma
         drift = abs(direct - rows[-1].gamma_diag) / abs(direct)
         assert summary["precheck_drift"] == drift
+
+    def test_sweep_solves_each_steady_state_once(self, monkeypatch):
+        # both protocols of a point share one steady state; the bumped
+        # precheck solves its own
+        config = config_from_dict(
+            make_config(
+                truncation=[3, 2],
+                protocol={"rates": "both"},
+                sweep={"grid": [0.0, 0.02]},
+            )
+        )
+        expected = []
+        for value in config.grid:
+            bundle = purcell_lab.cli._build_point(config, value, (3, 2))[0]
+            expected.append((t1_rate_diag(bundle).gamma, t1_rate_fit(bundle).gamma))
+        solve = purcell_lab.spectral.steady_state
+        calls = []
+
+        def counted(bundle):
+            calls.append(bundle.space.dims)
+            return solve(bundle)
+
+        for module in (purcell_lab.spectral, purcell_lab.cli):
+            monkeypatch.setattr(module, "steady_state", counted, raising=False)
+        rows, _ = run_scenario(config)
+        assert len(calls) == len(config.grid) + 1
+        assert [(r.gamma_diag, r.gamma_fit) for r in rows] == expected
 
     def test_top_row_fit_failure_fails_the_precheck(self, monkeypatch):
         def fail(*args, **kwargs):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import purcell_lab.spectral
 from purcell_lab.fockspace import (
     Superoperator,
     TruncatedSpace,
@@ -112,7 +113,7 @@ class TestSpectrum:
     def test_thermal_oscillator_population_ladder(self, nbar, kmax, tol):
         bundle = blackbox((14, 2), toggles=ALL_OFF, nbar_c0=nbar)
         kc = bundle.frame.kappa_c_t
-        lams = np.array([m.lam for m in spectrum(bundle, normalize=False)])
+        lams = np.array([m.lam for m in spectrum(bundle)])
         for k in range(kmax + 1):
             assert np.min(np.abs(lams - (-k * kc))) < tol
 
@@ -120,7 +121,7 @@ class TestSpectrum:
     def test_cavity_coherence_modes(self, nbar):
         bundle = blackbox((14, 2), toggles=ALL_OFF, nbar_c0=nbar)
         frame = bundle.frame
-        lams = np.array([m.lam for m in spectrum(bundle, normalize=False)])
+        lams = np.array([m.lam for m in spectrum(bundle)])
         for m_c, k in ((1, 0), (1, 1), (2, 0)):
             want = -1j * m_c * frame.omega_c_t - 0.5 * frame.kappa_c_t * (
                 abs(m_c) + 2 * k
@@ -139,13 +140,14 @@ class TestSpectrum:
         gram = lmat.conj().T @ rmat
         assert np.max(np.abs(gram - np.eye(len(modes)))) < 1e-9
 
-    def test_sparse_finds_slow_ladder(self):
+    def test_sparse_finds_slow_ladder(self, monkeypatch):
         # the sparse path is shift-local: it recovers modes near the target
         # rate (the relaxation ladder), not fast-oscillating coherences
         # whose real parts happen to be small
         bundle = blackbox((5, 4), nbar_c0=0.08)
-        dense_all = np.array([m.lam for m in spectrum(bundle, normalize=False)])
-        sparse = spectrum(bundle, count=8, method="sparse")
+        dense_all = np.array([m.lam for m in spectrum(bundle)])
+        monkeypatch.setattr(purcell_lab.spectral, "_DENSE_LIMIT", 0)  # force ARPACK
+        sparse = spectrum(bundle, count=8)
         for m in sparse:
             assert np.min(np.abs(dense_all - m.lam)) < 1e-9 * max(1.0, abs(m.lam))
         real_sparse = sorted(
@@ -161,7 +163,7 @@ class TestSpectrum:
 
     def test_eigenvalue_conjugate_pairs(self):
         lams = np.array(
-            [m.lam for m in spectrum(blackbox((4, 3), nbar_c0=0.1), normalize=False)]
+            [m.lam for m in spectrum(blackbox((4, 3), nbar_c0=0.1))]
         )
         for lam in lams:
             if abs(lam.imag) > 1e-12:
@@ -175,7 +177,7 @@ class TestSpectrum:
         m[0, 1] = 1.0  # Jordan block; not diagonalizable
         bundle = manual_bundle(space, Superoperator(space, m.tocsr()))
         with pytest.raises(RuntimeError, match="defective"):
-            spectrum(bundle, method="dense")
+            spectrum(bundle)
 
 
 class TestBlockLabels:
@@ -247,10 +249,11 @@ class TestT1RateDiag:
         res = t1_rate_diag(build_jc(params, TruncatedSpace((8, 2))))
         assert res.gamma == pytest.approx(1.1e-4, rel=5e-2)
 
-    def test_weight_floor_error(self):
+    def test_weight_floor_error(self, monkeypatch):
         bundle = blackbox((2, 4), toggles=ALL_OFF)
+        monkeypatch.setattr(purcell_lab.spectral, "WEIGHT_FLOOR", 2.0)
         with pytest.raises(RuntimeError, match="weight"):
-            t1_rate_diag(bundle, weight_floor=2.0)
+            t1_rate_diag(bundle)
 
 
 class TestEvolve:
