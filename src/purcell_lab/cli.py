@@ -46,7 +46,7 @@ from .perturbation import (
     gamma_jc_analytic,
     gamma_thermal_analytic,
 )
-from .spectral import block_labels, steady_state, t1_rate_diag, t1_rate_fit
+from .spectral import FIT_WINDOW, block_labels, steady_state, t1_rate_diag, t1_rate_fit
 
 CSV_SCHEMA = "purcell-lab/sweep-v1"
 CSV_COLUMNS = (
@@ -260,7 +260,7 @@ def config_from_dict(raw: dict) -> ScenarioConfig:
         ),
         "protocol.fit_horizon must be a positive finite number or null",
     )
-    window_raw = protocol.get("fit_window", [0.95, 1.0])
+    window_raw = protocol.get("fit_window", list(FIT_WINDOW))
     _require(
         isinstance(window_raw, list)
         and len(window_raw) == 2

@@ -62,50 +62,6 @@ class TruncatedSpace:
 
 
 @dataclass(frozen=True)
-class OperatorMatrix:
-    """A complex matrix acting on a :class:`TruncatedSpace`."""
-
-    space: TruncatedSpace
-    data: np.ndarray
-
-    def __post_init__(self):
-        data = np.asarray(self.data, dtype=complex)
-        n = self.space.total_dim
-        if data.shape != (n, n):
-            raise ValueError(
-                f"operator shape {data.shape} does not match space dimension {n}"
-            )
-        object.__setattr__(self, "data", data)
-
-    def dag(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.space, self.data.conj().T)
-
-    def _check_same_space(self, other: "OperatorMatrix") -> None:
-        if self.space.dims != other.space.dims:
-            raise ValueError("operators live on different spaces")
-
-    def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        self._check_same_space(other)
-        return OperatorMatrix(self.space, self.data @ other.data)
-
-    def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        self._check_same_space(other)
-        return OperatorMatrix(self.space, self.data + other.data)
-
-    def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        self._check_same_space(other)
-        return OperatorMatrix(self.space, self.data - other.data)
-
-    def __mul__(self, scalar: complex) -> "OperatorMatrix":
-        return OperatorMatrix(self.space, self.data * scalar)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.space, -self.data)
-
-
-@dataclass(frozen=True)
 class Superoperator:
     """A sparse matrix acting on column-stacked vectorized operators.
 
@@ -128,51 +84,38 @@ class Superoperator:
             )
         object.__setattr__(self, "data", data)
 
-    def as_dense(self) -> np.ndarray:
-        return self.data.toarray()
-
-    def apply(self, vec_rho: np.ndarray) -> np.ndarray:
-        return self.data @ vec_rho
-
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.data.data))) if self.data.nnz else 0.0
 
 
-def identity(space: TruncatedSpace) -> OperatorMatrix:
-    return OperatorMatrix(space, np.eye(space.total_dim, dtype=complex))
-
-
 def ladder_operators(
     space: TruncatedSpace, mode: int
-) -> tuple[OperatorMatrix, OperatorMatrix, OperatorMatrix]:
+) -> tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]:
     """Lowering, raising, and number operators for one mode, embedded.
 
-    The returned operators act on the full tensor space with identities on
-    all other modes.  ``lower`` annihilates the mode's ground Fock state,
+    The returned CSR matrices act on the full tensor space with identities
+    on all other modes.  ``lower`` annihilates the mode's ground Fock state,
     ``raise = lower^dag``, ``number = raise @ lower``.
     """
     if not 0 <= mode < space.n_modes:
         raise ValueError(f"mode index {mode} out of range for {space.n_modes} modes")
     d = space.dims[mode]
-    if d < 2:
-        raise ValueError(f"cutoff {d} < 2")  # unreachable via TruncatedSpace
-    low = np.diag(np.sqrt(np.arange(1, d, dtype=float)), k=1).astype(complex)
-    full = np.array([[1.0 + 0j]])
+    low = sp.diags(np.sqrt(np.arange(1, d, dtype=float)), 1, dtype=complex)
+    lower = sp.identity(1, dtype=complex, format="csr")
     for i, di in enumerate(space.dims):
-        factor = low if i == mode else np.eye(di, dtype=complex)
-        full = np.kron(full, factor)
-    lower = OperatorMatrix(space, full)
-    raise_ = lower.dag()
+        factor = low if i == mode else sp.identity(di, dtype=complex)
+        lower = sp.kron(lower, factor, format="csr")
+    raise_ = lower.conj().T.tocsr()
     number = raise_ @ lower
     return lower, raise_, number
 
 
 def vectorize(rho) -> np.ndarray:
     """Column-stack a density matrix (or any operator) into a vector."""
-    data = rho.data if isinstance(rho, OperatorMatrix) else np.asarray(rho)
+    data = np.asarray(rho, dtype=complex)
     if data.ndim != 2 or data.shape[0] != data.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {data.shape}")
-    return np.asarray(data, dtype=complex).flatten(order="F")
+    return data.flatten(order="F")
 
 
 def unvectorize(v: np.ndarray, space: TruncatedSpace | None = None) -> np.ndarray:
@@ -190,7 +133,7 @@ def unvectorize(v: np.ndarray, space: TruncatedSpace | None = None) -> np.ndarra
 
 def trace_functional(space: TruncatedSpace) -> np.ndarray:
     """Row vector t with t @ vec(rho) = Tr(rho)."""
-    return vectorize(identity(space)).conj()
+    return vectorize(np.eye(space.total_dim))
 
 
 # Superoperator building blocks (column-stacking convention).
@@ -225,62 +168,36 @@ def _dissipator(l_op: sp.csr_matrix) -> sp.csr_matrix:
 
 
 def lindblad_superoperator(
-    h: OperatorMatrix,
-    channels: list[tuple[float, OperatorMatrix]],
+    space: TruncatedSpace,
+    h: sp.csr_matrix | np.ndarray,
+    channels: list[tuple[float, sp.csr_matrix | np.ndarray]],
 ) -> Superoperator:
     """Assemble -i[H, .] + sum_k rate_k D[L_k] under column stacking.
 
     Parameters
     ----------
-    h : OperatorMatrix
+    space : TruncatedSpace
+        The space every operator acts on.
+    h : (N, N) matrix, dense or sparse
         Hamiltonian (Hermitian not enforced; the caller owns that).
     channels : list of (rate, L)
-        Non-negative rates with their jump operators, all on ``h.space``.
+        Non-negative rates with their (N, N) jump operators.
     """
-    space = h.space
-    hs = sp.csr_matrix(h.data)
-    gen = -1j * (left_mult(hs) - right_mult(hs))
-    for rate, l_opm in channels:
-        if rate < 0:
-            raise ValueError(f"negative dissipation rate {rate}")
-        if l_opm.space.dims != space.dims:
-            raise ValueError("channel operator lives on a different space")
-        if rate == 0.0:
-            continue
-        gen = gen + rate * _dissipator(sp.csr_matrix(l_opm.data))
-    return Superoperator(space, gen)
-
-
-def heisenberg_superoperator(
-    h: OperatorMatrix,
-    channels: list[tuple[float, OperatorMatrix]],
-) -> Superoperator:
-    """Adjoint (Heisenberg-picture) generator, built independently.
-
-    L^dag A = +i[H, A] + sum_k rate_k (L_k^dag A L_k - (1/2){L_k^dag L_k, A}),
-    so that <L^dag(A), rho> = <A, L(rho)> with <A, B> = Tr[A^dag B].
-    """
-    space = h.space
-    hs = sp.csr_matrix(h.data)
-    gen = 1j * (left_mult(hs) - right_mult(hs))
-    for rate, l_opm in channels:
-        if rate < 0:
-            raise ValueError(f"negative dissipation rate {rate}")
-        if l_opm.space.dims != space.dims:
-            raise ValueError("channel operator lives on a different space")
-        if rate == 0.0:
-            continue
-        ls = sp.csr_matrix(l_opm.data)
-        ldl = (ls.conj().T @ ls).tocsr()
-        gen = gen + rate * (
-            sandwich(ls.conj().T, ls) - 0.5 * left_mult(ldl) - 0.5 * right_mult(ldl)
+    n = space.total_dim
+    hs = sp.csr_matrix(h)
+    if hs.shape != (n, n):
+        raise ValueError(
+            f"Hamiltonian shape {hs.shape} does not match space dimension {n}"
         )
+    gen = -1j * (left_mult(hs) - right_mult(hs))
+    for rate, l_op in channels:
+        if rate < 0:
+            raise ValueError(f"negative dissipation rate {rate}")
+        if l_op.shape != (n, n):
+            raise ValueError(
+                f"channel operator shape {l_op.shape} does not match space dimension {n}"
+            )
+        if rate == 0.0:
+            continue
+        gen = gen + rate * _dissipator(sp.csr_matrix(l_op))
     return Superoperator(space, gen)
-
-
-def trace_preservation_residual(superop: Superoperator) -> float:
-    """max|vec(I)^dag L|, normalized by max|L| (0 if L is empty)."""
-    t = trace_functional(superop.space)
-    resid = float(np.max(np.abs(t @ superop.data)))
-    scale = superop.max_abs()
-    return resid / scale if scale > 0 else resid

@@ -109,8 +109,8 @@ def _term_table(
     keyed "cd_anticommutator", "cd_down" and "cd_up"; L_cd is
     trace-preserving for any real gamma_up, gamma_down.
     """
-    c, cd, nc = (sp.csr_matrix(op.data) for op in ladder_operators(space, 0))
-    a, ad, na = (sp.csr_matrix(op.data) for op in ladder_operators(space, 1))
+    c, cd, nc = ladder_operators(space, 0)
+    a, ad, na = ladder_operators(space, 1)
     exchange = ad @ c + cd @ a
     conversion = ad @ ad @ a @ c
     drive = ad @ ad @ a

@@ -27,8 +27,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
-from .fockspace import OperatorMatrix, TruncatedSpace, ladder_operators
+from .fockspace import TruncatedSpace, ladder_operators
 
 DISPERSIVE_ERROR = 0.5
 DISPERSIVE_WARN = 0.3
@@ -147,8 +148,8 @@ class DisplacedFrame:
     drive: DriveParams
 
 
-def bare_hamiltonian(params: SystemParams, space: TruncatedSpace) -> OperatorMatrix:
-    """Lab-frame Hamiltonian on a (cavity, qubit) space.
+def bare_hamiltonian(params: SystemParams, space: TruncatedSpace) -> sp.csr_matrix:
+    """Lab-frame Hamiltonian on a (cavity, qubit) space, as a CSR matrix.
 
     H = omega_a a^dag a + g (a^dag c + h.c.) + omega_c c^dag c
         - (U/2) a^dag a^dag a a

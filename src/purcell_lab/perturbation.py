@@ -148,7 +148,7 @@ def decoupled_block(
         channels.append((kappa * (1.0 + nbar), a))
         if nbar > 0:
             channels.append((kappa * nbar, ad))
-    return lindblad_superoperator(h, channels).as_dense()
+    return lindblad_superoperator(space, h, channels).data.toarray()
 
 
 def _edge_mask(dim: int, exclude: int = 2) -> np.ndarray:

@@ -149,7 +149,7 @@ def steady_state(bundle: GeneratorBundle) -> np.ndarray:
     dim = superop.data.shape[0]
     scale = bundle.t1_rate_scale
     if dim <= _DENSE_LIMIT:
-        w, v = np.linalg.eig(superop.as_dense())
+        w, v = np.linalg.eig(superop.data.toarray())
         order = np.argsort(np.abs(w))
         lam1 = w[order[1]]
         vec = v[:, order[0]]
@@ -243,7 +243,7 @@ def spectrum(
     mag = superop.max_abs()
 
     if dim <= _DENSE_LIMIT:
-        mat = superop.as_dense()
+        mat = superop.data.toarray()
         w, rights = np.linalg.eig(mat)
         lefts = np.linalg.inv(rights).conj().T
         order = np.argsort(np.abs(w.real), kind="stable")
@@ -351,7 +351,7 @@ def block_labels(
 def _injected_excitation(bundle: GeneratorBundle, rho_ss: np.ndarray) -> np.ndarray:
     """Normalized rho_ss with one extra qubit excitation added."""
     _, a_raise, _ = ladder_operators(bundle.space, 1)
-    rho0 = a_raise.data @ rho_ss @ a_raise.data.conj().T
+    rho0 = a_raise @ rho_ss @ a_raise.conj().T
     tr = np.trace(rho0).real
     if tr <= 0:
         raise RuntimeError("cannot inject an excitation: zero-weight result")
@@ -421,7 +421,7 @@ def evolve(bundle: GeneratorBundle, rho0: np.ndarray, times) -> np.ndarray:
         raise RuntimeError(
             f"dense propagation infeasible at superoperator dim {dim}"
         )
-    dense = bundle.superop.as_dense()
+    dense = bundle.superop.data.toarray()
     t_func = trace_functional(bundle.space)
     v = vectorize(np.asarray(rho0, dtype=complex))
     tr0 = t_func @ v
@@ -514,11 +514,11 @@ def t1_rate_fit(
     if rho_ss is None:
         rho_ss = steady_state(bundle)
     rho0 = _injected_excitation(bundle, rho_ss)
-    _, _, n_qubit = ladder_operators(bundle.space, 1)
+    n_qubit = ladder_operators(bundle.space, 1)[2].toarray()
     times = np.linspace(0.0, horizon, FIT_STEPS + 1)
     traj = evolve(bundle, rho0, times)
-    nvals = np.einsum("tij,ji->t", traj, n_qubit.data).real
-    n_ss = float(np.trace(n_qubit.data @ rho_ss).real)
+    nvals = np.einsum("tij,ji->t", traj, n_qubit).real
+    n_ss = float(np.trace(n_qubit @ rho_ss).real)
     result = fit_exponential_tail(times, nvals, n_ss, window)
     if result.residual > FIT_RESIDUAL_TOL:
         raise RuntimeError(
@@ -526,31 +526,3 @@ def t1_rate_fit(
             f"{FIT_RESIDUAL_TOL:.1e} (window likely contains transients)"
         )
     return result
-
-
-def coupled_mode_complex_frequencies(
-    omega_c: float,
-    omega_a: float,
-    kappa_c: float,
-    kappa_a: float,
-    coherent: float,
-    dissipative: float,
-) -> tuple[complex, complex]:
-    """Normal-mode complex frequencies of two linearly coupled damped modes.
-
-    Amplitude equations: i d/dt (b_c, b_a) = M (b_c, b_a) with
-    M = [[omega_c - i kappa_c/2, coherent - i dissipative],
-    [coherent - i dissipative, omega_a - i kappa_a/2]].  Returns
-    (cavity_like, qubit_like); the energy decay rate of a branch is
-    -2 Im(mu).
-    """
-    m = np.array(
-        [
-            [omega_c - 0.5j * kappa_c, coherent - 1j * dissipative],
-            [coherent - 1j * dissipative, omega_a - 0.5j * kappa_a],
-        ]
-    )
-    mu = np.linalg.eigvals(m)
-    if abs(mu[0].real - omega_a) < abs(mu[1].real - omega_a):
-        mu = mu[::-1]
-    return complex(mu[0]), complex(mu[1])

@@ -4,17 +4,14 @@ import scipy.sparse as sp
 
 from purcell_lab.fockspace import (
     TruncatedSpace,
-    OperatorMatrix,
     Superoperator,
-    identity,
     ladder_operators,
     vectorize,
     unvectorize,
     lindblad_superoperator,
-    heisenberg_superoperator,
     trace_functional,
-    trace_preservation_residual,
 )
+from reference import heisenberg_superoperator, trace_preservation_residual
 
 
 def random_hermitian(rng, n):
@@ -53,12 +50,12 @@ class TestLadderOperators:
     def test_lower_smallest_truncation(self):
         space = TruncatedSpace((2,))
         lower, _, _ = ladder_operators(space, 0)
-        assert np.array_equal(lower.data, np.array([[0, 1], [0, 0]], dtype=complex))
+        assert np.array_equal(lower.toarray(), np.array([[0, 1], [0, 0]], dtype=complex))
 
     def test_number_diagonal(self):
         space = TruncatedSpace((5,))
         _, _, number = ladder_operators(space, 0)
-        assert np.allclose(number.data, np.diag(np.arange(5, dtype=complex)))
+        assert np.allclose(number.toarray(), np.diag(np.arange(5, dtype=complex)))
 
     def test_commutator_at_cutoff_5(self):
         # [lower, raise] = identity except at the top truncation level
@@ -67,7 +64,7 @@ class TestLadderOperators:
         comm = lower @ raise_ - raise_ @ lower
         expected = np.eye(5, dtype=complex)
         expected[4, 4] = -4.0
-        assert np.allclose(comm.data, expected, atol=1e-14)
+        assert np.allclose(comm.toarray(), expected, atol=1e-14)
 
     def test_embedding_two_modes(self):
         space = TruncatedSpace((3, 2))
@@ -76,11 +73,24 @@ class TestLadderOperators:
         # number operators are diagonal in the flat basis n_c * d_a + n_a
         diag_c = [space.occupations(i)[0] for i in range(6)]
         diag_q = [space.occupations(i)[1] for i in range(6)]
-        assert np.allclose(np.diag(number_c.data).real, diag_c)
-        assert np.allclose(np.diag(number_q.data).real, diag_q)
+        assert np.allclose(np.diag(number_c.toarray()).real, diag_c)
+        assert np.allclose(np.diag(number_q.toarray()).real, diag_q)
         # lowering the cavity connects (1, n_a) -> (0, n_a) only
-        assert lower_c.data[0, 2] == pytest.approx(1.0)
-        assert lower_c.data[1, 3] == pytest.approx(1.0)
+        assert lower_c.toarray()[0, 2] == pytest.approx(1.0)
+        assert lower_c.toarray()[1, 3] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("dims, mode", [((3, 2), 0), ((3, 2), 1), ((4, 3, 2), 2)])
+    def test_csr_matches_dense_kron(self, dims, mode):
+        low = np.diag(np.sqrt(np.arange(1, dims[mode])), k=1)
+        expected = np.ones((1, 1))
+        for i, d in enumerate(dims):
+            expected = np.kron(expected, low if i == mode else np.eye(d))
+        lower, raise_, number = ladder_operators(TruncatedSpace(dims), mode)
+        for op in (lower, raise_, number):
+            assert sp.issparse(op) and op.format == "csr"
+        assert np.array_equal(lower.toarray(), expected)
+        assert np.array_equal(raise_.toarray(), expected.T)
+        assert np.array_equal(number.toarray(), expected.T @ expected)
 
     def test_invalid_mode_index(self):
         space = TruncatedSpace((3, 2))
@@ -118,19 +128,19 @@ class TestLindbladSuperoperator:
     def test_vacuum_is_dark_state_of_decay(self):
         space = TruncatedSpace((3,))
         lower, _, _ = ladder_operators(space, 0)
-        gen = lindblad_superoperator(identity(space) * 0.0, [(0.4, lower)])
+        gen = lindblad_superoperator(space, np.zeros((3, 3)), [(0.4, lower)])
         rho0 = np.zeros((3, 3), dtype=complex)
         rho0[0, 0] = 1.0
-        assert np.allclose(gen.apply(vectorize(rho0)), 0.0, atol=1e-14)
+        assert np.allclose(gen.data @ vectorize(rho0), 0.0, atol=1e-14)
 
     def test_single_photon_decay(self):
         kappa = 0.37
         space = TruncatedSpace((3,))
         lower, _, _ = ladder_operators(space, 0)
-        gen = lindblad_superoperator(identity(space) * 0.0, [(kappa, lower)])
+        gen = lindblad_superoperator(space, np.zeros((3, 3)), [(kappa, lower)])
         rho1 = np.zeros((3, 3), dtype=complex)
         rho1[1, 1] = 1.0
-        deriv = unvectorize(gen.apply(vectorize(rho1)))
+        deriv = unvectorize(gen.data @ vectorize(rho1))
         expected = np.zeros((3, 3), dtype=complex)
         expected[0, 0] = kappa
         expected[1, 1] = -kappa
@@ -139,10 +149,10 @@ class TestLindbladSuperoperator:
     def test_trace_preservation_random_cutoff_4(self):
         rng = np.random.default_rng(11)
         space = TruncatedSpace((4,))
-        h = OperatorMatrix(space, random_hermitian(rng, 4))
-        ch1 = OperatorMatrix(space, rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
-        ch2 = OperatorMatrix(space, rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
-        gen = lindblad_superoperator(h, [(0.3, ch1), (1.2, ch2)])
+        h = random_hermitian(rng, 4)
+        ch1 = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        ch2 = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        gen = lindblad_superoperator(space, h, [(0.3, ch1), (1.2, ch2)])
         assert trace_preservation_residual(gen) <= 1e-12
 
     @pytest.mark.parametrize("dims", [(5,), (4, 3), (8,), (3, 2, 2)])
@@ -150,42 +160,43 @@ class TestLindbladSuperoperator:
         rng = np.random.default_rng(sum(dims))
         space = TruncatedSpace(dims)
         n = space.total_dim
-        h = OperatorMatrix(space, random_hermitian(rng, n))
+        h = random_hermitian(rng, n)
         lower0, raise0, _ = ladder_operators(space, 0)
         chans = [(0.2, lower0), (0.05, raise0)]
-        gen = lindblad_superoperator(h, chans)
+        gen = lindblad_superoperator(space, h, chans)
         assert trace_preservation_residual(gen) <= 1e-12
 
     def test_hermiticity_preservation(self):
         rng = np.random.default_rng(3)
         space = TruncatedSpace((4, 2))
         n = space.total_dim
-        h = OperatorMatrix(space, random_hermitian(rng, n))
+        h = random_hermitian(rng, n)
         lower, _, _ = ladder_operators(space, 1)
-        gen = lindblad_superoperator(h, [(0.7, lower)])
+        gen = lindblad_superoperator(space, h, [(0.7, lower)])
         rho = random_density(rng, n)
-        deriv = unvectorize(gen.apply(vectorize(rho)))
+        deriv = unvectorize(gen.data @ vectorize(rho))
         assert np.max(np.abs(deriv - deriv.conj().T)) <= 1e-12
 
     def test_negative_rate_rejected(self):
         space = TruncatedSpace((3,))
         lower, _, _ = ladder_operators(space, 0)
         with pytest.raises(ValueError):
-            lindblad_superoperator(identity(space), [(-0.1, lower)])
+            lindblad_superoperator(space, np.eye(3), [(-0.1, lower)])
 
     def test_space_mismatch_rejected(self):
         space_a = TruncatedSpace((3,))
         space_b = TruncatedSpace((4,))
         lower_b, _, _ = ladder_operators(space_b, 0)
         with pytest.raises(ValueError):
-            lindblad_superoperator(identity(space_a), [(0.1, lower_b)])
+            lindblad_superoperator(space_a, np.eye(3), [(0.1, lower_b)])
+        with pytest.raises(ValueError, match="Hamiltonian"):
+            lindblad_superoperator(space_a, np.eye(4), [])
 
     def test_rejects_dense_data(self):
         space = TruncatedSpace((3,))
         lower, _, _ = ladder_operators(space, 0)
-        gen = lindblad_superoperator(identity(space) * 0.0, [(1.0, lower)])
+        gen = lindblad_superoperator(space, np.zeros((3, 3)), [(1.0, lower)])
         assert sp.issparse(gen.data) and gen.data.format == "csr"
-        assert np.array_equal(gen.as_dense(), gen.data.toarray())
         with pytest.raises(ValueError):
             Superoperator(space, np.zeros((9, 9)))
 
@@ -194,11 +205,11 @@ class TestAdjointConsistency:
     def test_adjoint_is_matrix_dagger(self):
         rng = np.random.default_rng(17)
         space = TruncatedSpace((4,))
-        h = OperatorMatrix(space, random_hermitian(rng, 4))
+        h = random_hermitian(rng, 4)
         lower, raise_, _ = ladder_operators(space, 0)
         chans = [(0.8, lower), (0.1, raise_)]
-        schro = lindblad_superoperator(h, chans)
-        heis = heisenberg_superoperator(h, chans)
+        schro = lindblad_superoperator(space, h, chans)
+        heis = heisenberg_superoperator(space, h, chans)
         assert np.max(np.abs((heis.data - schro.data.conj().T).toarray())) <= 1e-12
 
     def test_pairing_identity_on_random_pairs(self):
@@ -206,15 +217,15 @@ class TestAdjointConsistency:
         rng = np.random.default_rng(23)
         space = TruncatedSpace((3, 2))
         n = space.total_dim
-        h = OperatorMatrix(space, random_hermitian(rng, n))
+        h = random_hermitian(rng, n)
         lower, _, _ = ladder_operators(space, 0)
-        schro = lindblad_superoperator(h, [(0.5, lower)])
-        heis = heisenberg_superoperator(h, [(0.5, lower)])
+        schro = lindblad_superoperator(space, h, [(0.5, lower)])
+        heis = heisenberg_superoperator(space, h, [(0.5, lower)])
         for _ in range(5):
             a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             rho = random_density(rng, n)
-            lhs = np.vdot(heis.apply(vectorize(a)), vectorize(rho))
-            rhs = np.vdot(vectorize(a), schro.apply(vectorize(rho)))
+            lhs = np.vdot(heis.data @ vectorize(a), vectorize(rho))
+            rhs = np.vdot(vectorize(a), schro.data @ vectorize(rho))
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
 
 

@@ -48,7 +48,7 @@ class TestBareHamiltonian:
     def test_decoupled_is_diagonal(self):
         params = make_params(g=0.0, U=0.0, omega_a=1.3, omega_c=0.7)
         space = TruncatedSpace((3, 3))
-        h = bare_hamiltonian(params, space).data
+        h = bare_hamiltonian(params, space).toarray()
         assert np.allclose(h, np.diag(np.diag(h)))
         expected = [nc * 0.7 + na * 1.3 for nc in range(3) for na in range(3)]
         assert np.allclose(np.diag(h).real, expected)
@@ -56,7 +56,7 @@ class TestBareHamiltonian:
     def test_single_excitation_coupling(self):
         params = make_params()
         space = TruncatedSpace((2, 2))
-        h = bare_hamiltonian(params, space).data
+        h = bare_hamiltonian(params, space).toarray()
         # flat order: |n_c n_a> = |00>, |01>, |10>, |11>
         assert h[1, 2] == pytest.approx(params.g)
         assert h[2, 1] == pytest.approx(params.g)
@@ -64,7 +64,7 @@ class TestBareHamiltonian:
     def test_single_excitation_eigenvalues(self):
         params = make_params(omega_a=1.2, omega_c=0.3, g=0.17)
         space = TruncatedSpace((2, 2))
-        h = bare_hamiltonian(params, space).data
+        h = bare_hamiltonian(params, space).toarray()
         block = h[1:3, 1:3]
         evals = np.sort(np.linalg.eigvalsh(block))
         mean = (params.omega_a + params.omega_c) / 2
@@ -74,7 +74,7 @@ class TestBareHamiltonian:
     def test_kerr_term(self):
         params = make_params(g=0.0, U=0.4, omega_a=0.0, omega_c=1.0)
         space = TruncatedSpace((2, 4))
-        h = bare_hamiltonian(params, space).data
+        h = bare_hamiltonian(params, space).toarray()
         # qubit-only energies: -(U/2) n(n-1)
         for na in range(4):
             assert h[na, na].real == pytest.approx(-0.2 * na * (na - 1))
@@ -84,7 +84,7 @@ class TestBareHamiltonian:
             bare_hamiltonian(make_params(), TruncatedSpace((4,)))
 
     def test_hermitian(self):
-        h = bare_hamiltonian(make_params(U=0.1), TruncatedSpace((4, 3))).data
+        h = bare_hamiltonian(make_params(U=0.1), TruncatedSpace((4, 3))).toarray()
         assert np.allclose(h, h.conj().T)
 
 
