@@ -227,25 +227,23 @@ def _biorthonormalize(modes: list[SpectralMode], mag: float) -> None:
                 modes[j].right = rmat[:, col]
 
 
-def spectrum(
-    bundle: GeneratorBundle, count: int | None = None
+def _eigenmodes(
+    bundle: GeneratorBundle, lop, count: int | None, linalg=np.linalg
 ) -> list[SpectralMode]:
-    """Slowest eigenmodes of the generator, sorted by |Re lambda| ascending,
-    biorthonormalized.
+    """Slowest biorthonormalized eigenmodes of ``lop``, the generator of
+    ``bundle`` or a closed block of it (square CSR).
 
-    Superoperators up to ``_DENSE_LIMIT`` are diagonalized in full; larger
-    ones go through shift-invert ARPACK at ``SPARSE_SHIFT *
-    bundle.t1_rate_scale``.  ``count`` is the number of modes to return
-    (None = all computed; the sparse path defaults to ``SPARSE_COUNT``).
+    The body of `spectrum`, shared with `t1_rate_diag`'s sector solve.  The
+    dense-or-sparse choice uses the dimension of ``lop``; tolerances and the
+    sparse shift come from the full generator, so a block is checked as
+    strictly as the whole.  ``linalg`` (numpy.linalg or scipy.linalg)
+    supplies the dense ``eig`` and ``inv``.
     """
-    superop = bundle.superop
-    dim = superop.data.shape[0]
-    mag = superop.max_abs()
-
+    dim = lop.shape[0]
+    mag = bundle.superop.max_abs()
     if dim <= _DENSE_LIMIT:
-        mat = superop.data.toarray()
-        w, rights = np.linalg.eig(mat)
-        lefts = np.linalg.inv(rights).conj().T
+        w, rights = linalg.eig(lop.toarray())
+        lefts = linalg.inv(rights).conj().T
         order = np.argsort(np.abs(w.real), kind="stable")
         if count is not None:
             order = order[:count]
@@ -258,7 +256,7 @@ def spectrum(
             count = SPARSE_COUNT
         k = max(count + 4, 12)
         sig = SPARSE_SHIFT * bundle.t1_rate_scale
-        mat = superop.data.tocsc()
+        mat = lop.tocsc()
         adjoint = mat.conj().T.tocsc()
         # The forward and adjoint solver windows may disagree on which
         # eigenvalues sit at their outer edge; widen both until every kept
@@ -290,7 +288,6 @@ def spectrum(
         ]
 
     # defectiveness / convergence check on the raw (unit-norm-ish) vectors
-    lop = superop.data
     for m in modes:
         res = np.linalg.norm(lop @ m.right - m.lam * m.right)
         if res > 1e-8 * mag * np.linalg.norm(m.right):
@@ -310,6 +307,20 @@ def spectrum(
     if np.max(np.abs(gram - np.eye(len(check)))) > 1e-9:
         raise RuntimeError("biorthonormalization failed beyond 1e-9")
     return modes
+
+
+def spectrum(
+    bundle: GeneratorBundle, count: int | None = None
+) -> list[SpectralMode]:
+    """Slowest eigenmodes of the generator, sorted by |Re lambda| ascending,
+    biorthonormalized.
+
+    Superoperators up to ``_DENSE_LIMIT`` are diagonalized in full; larger
+    ones go through shift-invert ARPACK at ``SPARSE_SHIFT *
+    bundle.t1_rate_scale``.  ``count`` is the number of modes to return
+    (None = all computed; the sparse path defaults to ``SPARSE_COUNT``).
+    """
+    return _eigenmodes(bundle, bundle.superop.data, count)
 
 
 def block_labels(
@@ -358,23 +369,54 @@ def _injected_excitation(bundle: GeneratorBundle, rho_ss: np.ndarray) -> np.ndar
     return rho0 / tr
 
 
+def _population_sector(bundle: GeneratorBundle) -> np.ndarray | None:
+    """Indices of the M = 0 components, or None when that block is not closed.
+
+    M is the ket's excitation number minus the bra's.  Generators that
+    conserve excitation number (bare, blackbox, jc) store no entry joining
+    an M = 0 component to an M != 0 one, so the steady state, the injected
+    excitation and every population mode live in the M = 0 block; a driven
+    displaced generator stores such entries.
+    """
+    population = coherence_sectors(bundle.space).sum(1) == 0
+    coo = bundle.superop.data.tocoo()
+    if np.any(population[coo.row] != population[coo.col]):
+        return None
+    return np.flatnonzero(population)
+
+
+def _embed(vec: np.ndarray, idx: np.ndarray, dim: int) -> np.ndarray:
+    full = np.zeros(dim, dtype=vec.dtype)
+    full[idx] = vec
+    return full
+
+
 def t1_rate_diag(
     bundle: GeneratorBundle, rho_ss: np.ndarray | None = None
 ) -> T1DiagResult:
     """Eigenmode readout of the slow qubit relaxation rate.
 
     Injects one qubit excitation on top of the steady state, computes mode
-    weights w = <l, rho0> over the default `spectrum`, and selects the
-    excited mode by two criteria (slowest decaying above ``WEIGHT_FLOOR``;
-    largest weight).  Their disagreement is flagged in the result and as a
-    warning.
+    weights w = <l, rho0>, and selects the excited mode by two criteria
+    (slowest decaying above ``WEIGHT_FLOOR``; largest weight).  Their
+    disagreement is flagged in the result and as a warning.  The modes are
+    those `spectrum` would give, restricted to the population (M = 0) block
+    when the generator leaves it closed; the returned modes are full-length.
     """
     if rho_ss is None:
         rho_ss = steady_state(bundle)
-    rho0 = _injected_excitation(bundle, rho_ss)
-    modes = spectrum(bundle)
-    v0 = vectorize(rho0)
+    v0 = vectorize(_injected_excitation(bundle, rho_ss))
     scale = bundle.t1_rate_scale
+    lop = bundle.superop.data
+    idx = _population_sector(bundle)
+    if idx is not None:
+        lop = lop[idx][:, idx]
+        v0 = v0[idx]
+    # scipy.linalg runs on the same bundled OpenBLAS as the sparse path.  A
+    # numpy.linalg eig in one `--jobs` sweep worker while another runs
+    # ARPACK puts both OpenBLAS copies' busy-waiting threads on the same
+    # cores: a 218-dim block eig then took up to 8 s instead of 0.05 s.
+    modes = _eigenmodes(bundle, lop, None, linalg=sla)
     excited = []
     for m in modes:
         m.weight = complex(np.vdot(m.left, v0))
@@ -387,6 +429,12 @@ def t1_rate_diag(
         )
     slowest = min(candidates, key=lambda m: abs(m.lam.real))
     heaviest = max(excited, key=lambda m: abs(m.weight))
+    if idx is not None:
+        dim = bundle.superop.data.shape[0]
+        # both criteria may pick the same mode; embed it once
+        for m in {id(slowest): slowest, id(heaviest): heaviest}.values():
+            m.right = _embed(m.right, idx, dim)
+            m.left = _embed(m.left, idx, dim)
     gamma = -slowest.lam.real
     gamma_w = -heaviest.lam.real
     agree = bool(np.isclose(gamma, gamma_w, rtol=1e-9, atol=1e-15))

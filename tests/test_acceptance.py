@@ -63,6 +63,14 @@ def _report(num, ok, details):
     return line
 
 
+def _runtime(wall, limit, digits):
+    """Runtime clause of a report line, marked when the limit is broken."""
+    clause = f"runtime {wall:.{digits}f}s"
+    if wall < limit:
+        return f"{clause} < {limit:g}s"
+    return f"{clause} over limit {limit:g}s"
+
+
 def test_c01_dispersive_rate_baseline():
     # Relaxation rate at zero temperature against the dispersive expression
     # kappa_a + (g/Delta)^2 (kappa_c - kappa_a), tolerance max(1%, 10 (g/Delta)^3).
@@ -81,7 +89,7 @@ def test_c01_dispersive_rate_baseline():
             details.append(f"g={g} ka={kappa_a}: rel {rel:.1e} (tol {tol:.1e})")
     wall = time.perf_counter() - start
     ok = ok and wall < 10.0
-    line = _report(1, ok, "; ".join(details) + f"; runtime {wall:.1f}s < 10s")
+    line = _report(1, ok, "; ".join(details) + "; " + _runtime(wall, 10.0, 1))
     assert ok, line
 
 
@@ -124,7 +132,7 @@ def test_c02_thermal_slope_and_sign():
         parts.append(f"(b) D={sign:+.0f}: slope {s_num_b:.3e}, flips (a): {'yes' if flipped else 'NO'}")
     wall = time.perf_counter() - start
     ok = ok and wall < 120.0
-    line = _report(2, ok, "; ".join(parts) + f"; runtime {wall:.0f}s < 120s")
+    line = _report(2, ok, "; ".join(parts) + "; " + _runtime(wall, 120.0, 0))
     if not ok:
         pytest.fail(
             line + " | known limit: at D=+1 the converged numeric slope sits 5.4-5.7% below "
@@ -185,7 +193,7 @@ def test_c04_drive_sign_dependence():
         )
     wall = time.perf_counter() - start
     ok = ok and wall < 120.0
-    line = _report(4, ok, "; ".join(details) + f"; runtime {wall:.0f}s < 120s")
+    line = _report(4, ok, "; ".join(details) + "; " + _runtime(wall, 120.0, 0))
     assert ok, line
 
 
@@ -206,7 +214,7 @@ def test_c05_protocol_cross_check():
         details.append(f"nbar={nbar}: {rel:.1e}")
     wall = time.perf_counter() - start
     ok = worst <= 0.01 and wall < 300.0
-    line = _report(5, ok, ", ".join(details) + f" (tol 1e-2); runtime {wall:.0f}s < 300s")
+    line = _report(5, ok, ", ".join(details) + " (tol 1e-2); " + _runtime(wall, 300.0, 0))
     assert ok, line
 
 

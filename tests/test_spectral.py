@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
 import purcell_lab.spectral
@@ -17,12 +18,19 @@ from purcell_lab.liouvillian import (
     TermToggles,
     build_bare,
     build_blackbox,
+    build_displaced,
     build_jc,
 )
-from purcell_lab.model import SystemParams, polariton_frame
+from purcell_lab.model import (
+    DriveParams,
+    SystemParams,
+    displaced_frame,
+    polariton_frame,
+)
 from purcell_lab.spectral import (
     ModeLabel,
     SpectralMode,
+    _population_sector,
     block_labels,
     coherence_sectors,
     evolve,
@@ -254,6 +262,90 @@ class TestT1RateDiag:
         monkeypatch.setattr(purcell_lab.spectral, "WEIGHT_FLOOR", 2.0)
         with pytest.raises(RuntimeError, match="weight"):
             t1_rate_diag(bundle)
+
+
+def reference_diag(bundle, rho_ss):
+    """t1_rate_diag's two selection rules applied to the full-space spectrum."""
+    _, a_raise, _ = ladder_operators(bundle.space, 1)
+    rho0 = a_raise @ rho_ss @ a_raise.conj().T
+    v0 = vectorize(rho0 / np.trace(rho0).real)
+    scale = bundle.t1_rate_scale
+    excited = [
+        (m.lam, abs(np.vdot(m.left, v0)))
+        for m in spectrum(bundle)
+        if abs(m.lam) > 1e-6 * scale
+    ]
+    slowest = min(
+        (e for e in excited if e[1] > purcell_lab.spectral.WEIGHT_FLOOR),
+        key=lambda e: abs(e[0].real),
+    )
+    heaviest = max(excited, key=lambda e: e[1])
+    return -slowest[0].real, -heaviest[0].real
+
+
+def sector_bundles():
+    params = make_params(kappa_a=0.001, nbar_c0=0.1)
+    space = TruncatedSpace((4, 3))
+    return {
+        "bare": build_bare(params, space),
+        "blackbox+": blackbox((4, 3), kappa_a=0.001, nbar_c0=0.1),
+        "blackbox-": blackbox((4, 3), omega_a=-1.0, kappa_a=0.001, nbar_c0=0.1),
+        "jc": build_jc(make_params(U=0.0, nbar_c0=0.05), TruncatedSpace((6, 2))),
+    }
+
+
+class TestPopulationSector:
+    @pytest.mark.parametrize("dense_limit", [None, 0])
+    @pytest.mark.parametrize("name", ["bare", "blackbox+", "blackbox-", "jc"])
+    def test_diag_matches_full_space_reference(self, monkeypatch, name, dense_limit):
+        bundle = sector_bundles()[name]
+        rho_ss = steady_state(bundle)
+        gamma, gamma_w = reference_diag(bundle, rho_ss)
+        if dense_limit is not None:  # the block goes through ARPACK
+            monkeypatch.setattr(purcell_lab.spectral, "_DENSE_LIMIT", dense_limit)
+        res = t1_rate_diag(bundle, rho_ss=rho_ss)
+        assert res.gamma == pytest.approx(gamma, rel=1e-9)
+        assert res.gamma_by_weight == pytest.approx(gamma_w, rel=1e-9)
+
+    @pytest.mark.parametrize("name", ["bare", "blackbox+", "blackbox-", "jc"])
+    def test_returned_modes_are_full_length(self, name):
+        bundle = sector_bundles()[name]
+        lop = bundle.superop.data
+        res = t1_rate_diag(bundle)
+        for mode in (res.mode, res.mode_by_weight):
+            assert mode.right.shape == mode.left.shape == (lop.shape[0],)
+            r = mode.right
+            resid = np.linalg.norm(lop @ r - mode.lam * r)
+            assert resid <= 1e-8 * bundle.superop.max_abs() * np.linalg.norm(r)
+
+    def test_builders_give_the_population_indices(self):
+        for name, bundle in sector_bundles().items():
+            want = np.flatnonzero(coherence_sectors(bundle.space).sum(1) == 0)
+            assert np.array_equal(_population_sector(bundle), want), name
+
+    def test_driven_displaced_block_is_open(self):
+        params = make_params(U=0.1)
+        space = TruncatedSpace((4, 4))
+        driven = displaced_frame(params, DriveParams(0.05, -0.1))
+        assert _population_sector(build_displaced(driven, params, space)) is None
+        undriven = displaced_frame(params, DriveParams(0.0, -0.1))
+        assert _population_sector(build_displaced(undriven, params, space)) is not None
+
+    def test_diag_diagonalizes_only_the_block(self, monkeypatch):
+        bundle = blackbox((6, 5), nbar_c0=0.05)
+        rho_ss = steady_state(bundle)
+        sizes = []
+
+        def spy(eig):
+            def wrapped(a):
+                sizes.append(a.shape[0])
+                return eig(a)
+            return wrapped
+
+        monkeypatch.setattr(np.linalg, "eig", spy(np.linalg.eig))
+        monkeypatch.setattr(scipy.linalg, "eig", spy(scipy.linalg.eig))
+        t1_rate_diag(bundle, rho_ss=rho_ss)
+        assert sizes and max(sizes) <= 110
 
 
 class TestEvolve:
