@@ -228,7 +228,7 @@ def _biorthonormalize(modes: list[SpectralMode], mag: float) -> None:
 
 
 def _eigenmodes(
-    bundle: GeneratorBundle, lop, count: int | None, linalg=np.linalg
+    bundle: GeneratorBundle, lop, count: int | None
 ) -> list[SpectralMode]:
     """Slowest biorthonormalized eigenmodes of ``lop``, the generator of
     ``bundle`` or a closed block of it (square CSR).
@@ -236,14 +236,28 @@ def _eigenmodes(
     The body of `spectrum`, shared with `t1_rate_diag`'s sector solve.  The
     dense-or-sparse choice uses the dimension of ``lop``; tolerances and the
     sparse shift come from the full generator, so a block is checked as
-    strictly as the whole.  ``linalg`` (numpy.linalg or scipy.linalg)
-    supplies the dense ``eig`` and ``inv``.
+    strictly as the whole.
     """
     dim = lop.shape[0]
     mag = bundle.superop.max_abs()
     if dim <= _DENSE_LIMIT:
-        w, rights = linalg.eig(lop.toarray())
-        lefts = linalg.inv(rights).conj().T
+        # scipy.linalg runs on the same bundled OpenBLAS as ARPACK.  A
+        # numpy.linalg eig in one `--jobs` sweep worker while another runs
+        # ARPACK puts both OpenBLAS copies' busy-waiting threads on the same
+        # cores: a 218-dim block eig then took up to 8 s instead of 0.05 s.
+        w, rights = sla.eig(lop.toarray())
+        # The inverse goes through LAPACK directly: `sla.inv` warns on an
+        # ill-conditioned eigenvector matrix, that warning would reach the
+        # CSV flags with a BLAS-dependent rcond, and a warnings filter here
+        # would change process-wide state from sweep worker threads.  The
+        # residual and Gram checks below report defectiveness instead.
+        getrf, getrs = sla.get_lapack_funcs(("getrf", "getrs"), (rights,))
+        lu, piv, info = getrf(rights)
+        if info == 0:
+            inv, info = getrs(lu, piv, np.eye(dim, dtype=rights.dtype))
+        if info != 0:
+            raise RuntimeError("singular eigenvector matrix; generator is defective")
+        lefts = inv.conj().T
         order = np.argsort(np.abs(w.real), kind="stable")
         if count is not None:
             order = order[:count]
@@ -412,11 +426,7 @@ def t1_rate_diag(
     if idx is not None:
         lop = lop[idx][:, idx]
         v0 = v0[idx]
-    # scipy.linalg runs on the same bundled OpenBLAS as the sparse path.  A
-    # numpy.linalg eig in one `--jobs` sweep worker while another runs
-    # ARPACK puts both OpenBLAS copies' busy-waiting threads on the same
-    # cores: a 218-dim block eig then took up to 8 s instead of 0.05 s.
-    modes = _eigenmodes(bundle, lop, None, linalg=sla)
+    modes = _eigenmodes(bundle, lop, None)
     excited = []
     for m in modes:
         m.weight = complex(np.vdot(m.left, v0))

@@ -1,5 +1,7 @@
 """Tests for steady states, spectra, labels, and the two rate protocols."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -184,8 +186,20 @@ class TestSpectrum:
         m = sp.lil_matrix((16, 16), dtype=complex)
         m[0, 1] = 1.0  # Jordan block; not diagonalizable
         bundle = manual_bundle(space, Superoperator(space, m.tocsr()))
-        with pytest.raises(RuntimeError, match="defective"):
-            spectrum(bundle)
+        # no conditioning warning either: it would become a CSV flag whose
+        # rcond digits depend on the BLAS
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
+            with pytest.raises(RuntimeError, match="defective"):
+                spectrum(bundle)
+
+    def test_singular_eigenvector_matrix_detected(self, monkeypatch):
+        def singular_eig(a):
+            return np.zeros(len(a), dtype=complex), np.zeros(a.shape, dtype=complex)
+
+        monkeypatch.setattr(scipy.linalg, "eig", singular_eig)
+        with pytest.raises(RuntimeError, match="singular eigenvector matrix"):
+            spectrum(blackbox((2, 2)))
 
 
 class TestBlockLabels:
