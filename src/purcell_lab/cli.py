@@ -22,7 +22,7 @@ import threading
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .fockspace import TruncatedSpace
@@ -41,6 +41,7 @@ from .model import (
     polariton_frame,
 )
 from .perturbation import (
+    Gamma2Breakdown,
     diagnostics,
     gamma_coherent_analytic,
     gamma_jc_analytic,
@@ -49,35 +50,14 @@ from .perturbation import (
 from .spectral import FIT_WINDOW, block_labels, steady_state, t1_rate_diag, t1_rate_fit
 
 CSV_SCHEMA = "purcell-lab/sweep-v1"
-CSV_COLUMNS = (
-    "value",
-    "gamma_diag",
-    "gamma_fit",
-    "gamma_analytic_total",
-    "base",
-    "nc_nc",
-    "nc_cd",
-    "cd_cd",
-    "converged",
-    "flags",
-)
 SWEEP_VARIABLES = ("nbar_c0", "drive_photons", "detuning_sign")
 # Relative drift of the diag rate under a +2 bump of every cutoff, checked
 # once at the most demanding grid point: the bumped solve runs before the
 # points, and its rate is compared with the top row's.
 CONVERGENCE_RTOL = 1e-3
 
-_MODEL_FIELDS = (
-    "omega_a",
-    "omega_c",
-    "g",
-    "U",
-    "kappa_a",
-    "kappa_c",
-    "nbar_c0",
-    "nbar_a0",
-)
-_TOGGLE_FIELDS = ("include_crs", "include_nc", "include_cd", "include_drive")
+_MODEL_FIELDS = tuple(f.name for f in fields(SystemParams))
+_TOGGLE_FIELDS = tuple(f.name for f in fields(TermToggles))
 
 
 class ConfigError(ValueError):
@@ -106,11 +86,10 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One grid point of a finished sweep.
-
-    ``flags`` accumulates every guard breach and warning raised while the
-    point ran; an empty tuple means a clean point.  ``wall_time_s`` is
-    excluded from the CSV so identical configs produce identical bytes.
+    """One grid point of a finished sweep; its fields in order are the CSV
+    columns.  ``flags`` accumulates every guard breach and warning raised
+    while the point ran; an empty tuple means a clean point.  ``wall_time_s``
+    is excluded from the CSV so identical configs produce identical bytes.
     """
 
     value: float
@@ -124,6 +103,9 @@ class SweepRow:
     converged: bool
     flags: tuple[str, ...]
     wall_time_s: float
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(SweepRow) if f.name != "wall_time_s")
 
 
 def _require(cond, msg):
@@ -342,14 +324,14 @@ def config_from_dict(raw: dict) -> ScenarioConfig:
 
 
 def _point_params(config: ScenarioConfig, value: float) -> SystemParams:
-    """System parameters with the sweep variable substituted in."""
+    """System parameters with the sweep variable substituted in; always a
+    fresh instance, so each point flags its own validation warnings."""
     p = config.params
-    fields = {k: getattr(p, k) for k in _MODEL_FIELDS}
     if config.variable == "nbar_c0":
-        fields["nbar_c0"] = value
-    elif config.variable == "detuning_sign":
-        fields["omega_a"] = p.omega_c + value * abs(p.delta)
-    return SystemParams(**fields)
+        return replace(p, nbar_c0=value)
+    if config.variable == "detuning_sign":
+        return replace(p, omega_a=p.omega_c + value * abs(p.delta))
+    return replace(p)
 
 
 def _drive_for_photons(
@@ -368,12 +350,12 @@ def _drive_for_photons(
 
 def _build_point(
     config: ScenarioConfig, value: float, truncation: tuple[int, int]
-) -> tuple[GeneratorBundle, object, tuple[str, ...]]:
+) -> tuple[GeneratorBundle, Gamma2Breakdown, tuple[str, ...]]:
     """Bundle, matching analytic rate, and regime flags for one grid point.
 
-    The analytic element is a Gamma2Breakdown for blackbox/drive points and
-    a bare float for the two-level comparison model (which also gets no
-    regime diagnostics — there is no dressed frame to diagnose).
+    The two-level comparison model reports its golden-rule rate as both the
+    base and the total, with zero channels, and gets no regime diagnostics
+    (there is no dressed frame to diagnose).
     """
     space = TruncatedSpace(truncation)
     params = _point_params(config, value)
@@ -386,7 +368,8 @@ def _build_point(
         regime = diagnostics(frame).flags
     elif config.comparison == "jc":
         bundle = build_jc(params, space)
-        analytic = gamma_jc_analytic(params)
+        r = gamma_jc_analytic(params)
+        analytic = Gamma2Breakdown(base=r, nc_nc=0.0, nc_cd=0.0, cd_cd=0.0, total=r)
         regime = ()
     else:
         frame = polariton_frame(params)
@@ -437,12 +420,8 @@ def _run_point(config: ScenarioConfig, value: float) -> SweepRow:
                 window=config.fit_window,
                 rho_ss=rho_ss,
             ).gamma
-        if config.comparison == "jc":
-            total, base = analytic, analytic
-            nc_nc = nc_cd = cd_cd = 0.0
-        else:
-            total, base = analytic.total, analytic.base
-            nc_nc, nc_cd, cd_cd = analytic.nc_nc, analytic.nc_cd, analytic.cd_cd
+        total, base = analytic.total, analytic.base
+        nc_nc, nc_cd, cd_cd = analytic.nc_nc, analytic.nc_cd, analytic.cd_cd
     except (ValueError, RuntimeError) as err:
         flags.append("error: " + _flag_text(err))
         gamma_diag = total = base = nc_nc = nc_cd = cd_cd = math.nan
@@ -544,10 +523,22 @@ def run_scenario(
     return rows, summary
 
 
-def _format_value(x: float | None) -> str:
-    if x is None:
-        return ""
-    return f"{x:.14e}"
+def _format_field(column: str, value) -> str:
+    if column == "converged":
+        return "true" if value else "false"
+    if column == "flags":
+        return ";".join(value)
+    return "" if value is None else f"{value:.14e}"
+
+
+def _parse_field(column: str, text: str):
+    if column == "converged":
+        return text == "true"
+    if column == "flags":
+        return tuple(f for f in text.split(";") if f)
+    if column == "gamma_fit" and not text:
+        return None
+    return float(text)  # an empty rate outside gamma_fit raises ValueError
 
 
 def write_rows(rows: list[SweepRow], config: ScenarioConfig, path: Path) -> None:
@@ -559,22 +550,7 @@ def write_rows(rows: list[SweepRow], config: ScenarioConfig, path: Path) -> None
         ",".join(CSV_COLUMNS),
     ]
     for row in rows:
-        lines.append(
-            ",".join(
-                (
-                    _format_value(row.value),
-                    _format_value(row.gamma_diag),
-                    _format_value(row.gamma_fit),
-                    _format_value(row.gamma_analytic_total),
-                    _format_value(row.base),
-                    _format_value(row.nc_nc),
-                    _format_value(row.nc_cd),
-                    _format_value(row.cd_cd),
-                    "true" if row.converged else "false",
-                    ";".join(row.flags),
-                )
-            )
-        )
+        lines.append(",".join(_format_field(c, getattr(row, c)) for c in CSV_COLUMNS))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
@@ -594,21 +570,8 @@ def read_rows(path: str | Path) -> list[SweepRow]:
         parts = line.split(",")
         if len(parts) != len(CSV_COLUMNS):
             raise ValueError(f"malformed CSV row: {line!r}")
-        rows.append(
-            SweepRow(
-                value=float(parts[0]),
-                gamma_diag=float(parts[1]),
-                gamma_fit=float(parts[2]) if parts[2] else None,
-                gamma_analytic_total=float(parts[3]),
-                base=float(parts[4]),
-                nc_nc=float(parts[5]),
-                nc_cd=float(parts[6]),
-                cd_cd=float(parts[7]),
-                converged=parts[8] == "true",
-                flags=tuple(f for f in parts[9].split(";") if f),
-                wall_time_s=0.0,
-            )
-        )
+        cells = {c: _parse_field(c, t) for c, t in zip(CSV_COLUMNS, parts)}
+        rows.append(SweepRow(**cells, wall_time_s=0.0))
     return rows
 
 

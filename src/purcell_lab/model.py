@@ -170,8 +170,6 @@ def bare_hamiltonian(params: SystemParams, space: TruncatedSpace) -> sp.csr_matr
 def polariton_frame(params: SystemParams) -> PolaritonFrame:
     """Dressed constants of the hybridized frame, to second order in g/Delta."""
     d = params.delta
-    if d == 0.0:
-        raise ValueError("detuning must be nonzero")
     g, u = params.g, params.U
     ka, kc = params.kappa_a, params.kappa_c
     na0, nc0 = params.nbar_a0, params.nbar_c0

@@ -514,10 +514,7 @@ def gamma_thermal_analytic(frame: PolaritonFrame) -> Gamma2Breakdown:
 
 
 def gamma_thermal_pt(
-    frame: PolaritonFrame,
-    params: SystemParams,
-    space: TruncatedSpace,
-    k_max: int | None = None,
+    frame: PolaritonFrame, space: TruncatedSpace, k_max: int | None = None
 ) -> Gamma2Breakdown:
     """Numeric second-order decay rate from the perturbation engine.
 
@@ -645,15 +642,12 @@ def gamma_jc_analytic(params: SystemParams) -> float:
 class DiagnosticsReport:
     """Validity indicators of the analytic channel formulas.
 
-    kappa_eff_nc is the golden-rule rate of the conversion transition;
-    gamma4_estimate the order-of-magnitude fourth-order correction with
+    gamma4_estimate is the order-of-magnitude fourth-order correction with
     its resonant base-rate enhancement; flags lists raised regime flags.
     """
 
-    kappa_eff_nc: float
     gamma4_estimate: float
     flags: tuple[str, ...]
-    meta: dict = field(default_factory=dict)
 
 
 def diagnostics(frame: PolaritonFrame) -> DiagnosticsReport:
@@ -670,7 +664,6 @@ def diagnostics(frame: PolaritonFrame) -> DiagnosticsReport:
         raise ValueError(
             "conversion resonance Delta = U: diagnostics denominators diverge"
         )
-    kappa_eff_nc = frame.chi_t**2 * (frame.kappa_a_t + frame.kappa_c_t) / (d - u) ** 2
     numerator = (
         (g**4 / d**4) * u**2 / (d - u) ** 2 * (p.kappa_c - p.kappa_a) ** 2 * frame.n_c_t
     )
@@ -681,13 +674,7 @@ def diagnostics(frame: PolaritonFrame) -> DiagnosticsReport:
     flags = []
     if p.kappa_a < frame.kappa_P and u >= 0.05 * abs(d):
         flags.append("analytic-formula-degraded")
-    meta = {"kappa_P": frame.kappa_P}
-    return DiagnosticsReport(
-        kappa_eff_nc=float(kappa_eff_nc),
-        gamma4_estimate=float(gamma4),
-        flags=tuple(flags),
-        meta=meta,
-    )
+    return DiagnosticsReport(gamma4_estimate=float(gamma4), flags=tuple(flags))
 
 
 @dataclass(frozen=True)
@@ -735,7 +722,7 @@ def rate_report(bundle: GeneratorBundle) -> RateReport:
     gamma_diag = t1_rate_diag(bundle, rho_ss=rho_ss).gamma
     gamma_fit = t1_rate_fit(bundle, rho_ss=rho_ss).gamma
     analytic = gamma_thermal_analytic(bundle.frame)
-    pt = gamma_thermal_pt(bundle.frame, bundle.params, bundle.space)
+    pt = gamma_thermal_pt(bundle.frame, bundle.space)
     discrepancies = {
         "fit_vs_diag": (gamma_fit - gamma_diag) / gamma_diag,
         "analytic_vs_diag": (analytic.total - gamma_diag) / gamma_diag,

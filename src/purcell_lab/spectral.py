@@ -150,16 +150,13 @@ def steady_state(bundle: GeneratorBundle) -> np.ndarray:
     scale = bundle.t1_rate_scale
     if dim <= _DENSE_LIMIT:
         w, v = np.linalg.eig(superop.data.toarray())
-        order = np.argsort(np.abs(w))
-        lam1 = w[order[1]]
-        vec = v[:, order[0]]
     else:
         w, v = _eigs_with_retry(
             superop.data.tocsc(), k=2, sigma=0.1 * scale, dim=dim
         )
-        order = np.argsort(np.abs(w))
-        lam1 = w[order[1]]
-        vec = v[:, order[0]]
+    order = np.argsort(np.abs(w))
+    lam1 = w[order[1]]
+    vec = v[:, order[0]]
     if abs(lam1) < 1e-6 * scale:
         raise RuntimeError(
             f"degenerate steady space: second eigenvalue {lam1:.3e} within "

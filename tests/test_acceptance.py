@@ -323,7 +323,7 @@ def test_c08_perturbation_engine_channels():
         frame = polariton_frame(params)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            engine = gamma_thermal_pt(frame, params, space)
+            engine = gamma_thermal_pt(frame, space)
             modes = unperturbed_modes(frame, space, sectors)
         cross_kerr = pt_corrections(
             modes, blackbox_perturbation_parts(frame, space)["crs"], target

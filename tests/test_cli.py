@@ -4,6 +4,7 @@ import json
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -324,7 +325,9 @@ class TestRunScenario:
             params = SystemParams(**{**BASE_CONFIG["model"], "g": 0.05,
                                      "nbar_c0": row.value})
             assert row.gamma_analytic_total == gamma_jc_analytic(params)
-            assert row.nc_nc == 0.0 and row.cd_cd == 0.0
+            # the golden-rule rate is both base and total, with zero channels
+            assert row.base == row.gamma_analytic_total
+            assert row.nc_nc == row.nc_cd == row.cd_cd == 0.0
             direct = t1_rate_diag(
                 build_jc(params, TruncatedSpace((8, 2)))
             ).gamma
@@ -405,6 +408,67 @@ class TestCsvRoundTrip:
         path = tmp_path_factory.mktemp("flags") / "flags.csv"
         write_rows([make_row(0.0, 1.0, 1.0, flags=flags)], config, path)
         assert read_rows(path)[0].flags == flags
+
+    def test_header_is_pinned(self, tmp_path):
+        # reordering SweepRow fields must not silently change sweep-v1
+        path = tmp_path / "header.csv"
+        write_rows([], config_from_dict(make_config()), path)
+        assert path.read_text(encoding="utf-8").splitlines()[3] == (
+            "value,gamma_diag,gamma_fit,gamma_analytic_total,"
+            "base,nc_nc,nc_cd,cd_cd,converged,flags"
+        )
+
+    def test_every_column_round_trips(self, tmp_path):
+        clean = replace(
+            make_row(0.5, 1.5e-3, 1.25e-3, fit=1.75e-3, flags=("a", "b")),
+            base=1.0e-3,
+            nc_nc=2.5e-4,
+            nc_cd=-3.75e-6,
+            cd_cd=1.0e-9,
+            converged=np.bool_(True),
+        )
+        no_fit = replace(clean, value=1.0, gamma_fit=None, flags=())
+        failed = SweepRow(
+            value=2.0,
+            gamma_diag=math.nan,
+            gamma_fit=None,
+            gamma_analytic_total=math.nan,
+            base=math.nan,
+            nc_nc=math.nan,
+            nc_cd=math.nan,
+            cd_cd=math.nan,
+            converged=np.bool_(False),
+            flags=("error: boom",),
+            wall_time_s=0.0,
+        )
+        path = tmp_path / "columns.csv"
+        write_rows([clean, no_fit, failed], config_from_dict(make_config()), path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines[4].endswith(",true,a;b")
+        assert lines[5].split(",")[2] == ""
+        assert lines[6].endswith(",false,error: boom")
+        back = read_rows(path)
+        for a, b in zip((clean, no_fit), back):
+            assert b == replace(a, converged=bool(a.converged))
+        assert back[2].gamma_fit is None
+        assert back[2].converged is False
+        assert back[2].flags == ("error: boom",)
+        assert all(
+            math.isnan(getattr(back[2], c))
+            for c in ("gamma_diag", "gamma_analytic_total", "base", "nc_nc",
+                      "nc_cd", "cd_cd")
+        )
+
+    def test_empty_rate_outside_the_fit_column_rejected(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        write_rows([make_row(0.0, 1.0, 1.0)], config_from_dict(make_config()), path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        cells = lines[4].split(",")
+        cells[1] = ""  # gamma_diag
+        lines[4] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError):
+            read_rows(path)
 
     def test_foreign_file_rejected(self, tmp_path):
         path = tmp_path / "foreign.csv"

@@ -260,7 +260,7 @@ class TestThermalEngine:
     @pytest.mark.parametrize("nbar,u", [(0.02, 0.01), (0.05, 0.01), (0.05, 0.02)])
     def test_channel_sum_matches_formula_within_5pct(self, sign, nbar, u):
         params, frame = thermal_frame(omega_a=sign, U=u, nbar_c0=nbar)
-        engine = gamma_thermal_pt(frame, params, TruncatedSpace((8, 6)))
+        engine = gamma_thermal_pt(frame, TruncatedSpace((8, 6)))
         formula = gamma_thermal_analytic(frame)
         got = engine.nc_nc + engine.nc_cd
         want = formula.nc_nc + formula.nc_cd
@@ -269,7 +269,7 @@ class TestThermalEngine:
     @pytest.mark.parametrize("sign", [+1.0, -1.0])
     def test_dissipation_cross_channel_within_5pct(self, sign):
         params, frame = thermal_frame(omega_a=sign, nbar_c0=0.05)
-        engine = gamma_thermal_pt(frame, params, TruncatedSpace((8, 6)))
+        engine = gamma_thermal_pt(frame, TruncatedSpace((8, 6)))
         formula = gamma_thermal_analytic(frame)
         assert abs(engine.nc_cd - formula.nc_cd) <= 0.05 * abs(formula.nc_cd)
 
@@ -279,26 +279,26 @@ class TestThermalEngine:
         # dressed occupancies; the full second-order sum exceeds it by an
         # O(occupancy) fraction.  Characterized, not hidden.
         params, frame = thermal_frame(omega_a=sign, nbar_c0=0.05)
-        engine = gamma_thermal_pt(frame, params, TruncatedSpace((8, 6)))
+        engine = gamma_thermal_pt(frame, TruncatedSpace((8, 6)))
         formula = gamma_thermal_analytic(frame)
         rel = engine.nc_nc / formula.nc_nc - 1.0
         assert 0.05 < rel < 0.25
 
     def test_population_channel_converges_at_low_occupancy(self):
         params, frame = thermal_frame(nbar_c0=0.02)
-        engine = gamma_thermal_pt(frame, params, TruncatedSpace((8, 6)))
+        engine = gamma_thermal_pt(frame, TruncatedSpace((8, 6)))
         formula = gamma_thermal_analytic(frame)
         assert abs(engine.nc_nc - formula.nc_nc) <= 0.05 * abs(formula.nc_nc)
 
     def test_dissipation_self_channel_negligible(self):
         params, frame = thermal_frame(nbar_c0=0.05)
-        engine = gamma_thermal_pt(frame, params, TruncatedSpace((8, 6)))
+        engine = gamma_thermal_pt(frame, TruncatedSpace((8, 6)))
         assert abs(engine.cd_cd) <= 0.03 * abs(engine.nc_cd)
 
     def test_total_tracks_brute_force_rate(self):
         params, frame = thermal_frame(nbar_c0=0.1)
         space = TruncatedSpace((8, 6))
-        engine = gamma_thermal_pt(frame, params, space)
+        engine = gamma_thermal_pt(frame, space)
         bundle = build_blackbox(frame, params, space)
         diag = t1_rate_diag(bundle)
         assert abs(engine.total - diag.gamma) <= 1e-3 * diag.gamma
@@ -306,17 +306,17 @@ class TestThermalEngine:
     def test_k_max_restriction_and_validation(self):
         params, frame = thermal_frame(nbar_c0=0.05)
         space = TruncatedSpace((8, 6))
-        full = gamma_thermal_pt(frame, params, space)
+        full = gamma_thermal_pt(frame, space)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # restricted set is incomplete
-            low = gamma_thermal_pt(frame, params, space, k_max=1)
+            low = gamma_thermal_pt(frame, space, k_max=1)
         assert low.nc_nc < full.nc_nc
         with pytest.raises(ValueError, match="k_max"):
-            gamma_thermal_pt(frame, params, space, k_max=7)
+            gamma_thermal_pt(frame, space, k_max=7)
 
     def test_breakdown_metadata(self):
         params, frame = thermal_frame(nbar_c0=0.05)
-        engine = gamma_thermal_pt(frame, params, TruncatedSpace((8, 6)))
+        engine = gamma_thermal_pt(frame, TruncatedSpace((8, 6)))
         assert engine.meta["dominant_intermediate"] in engine.meta["channels"]
         assert engine.meta["lambda1"]["nc"] == 0.0
         assert engine.total == pytest.approx(
