@@ -81,7 +81,6 @@ class ScenarioConfig:
     comparison: str  # "blackbox" | "jc"
     drive_omega_D: float | None
     csv_name: str
-    delta_over_2pi_GHz: float | None
 
 
 @dataclass(frozen=True)
@@ -319,7 +318,6 @@ def config_from_dict(raw: dict) -> ScenarioConfig:
         comparison=comparison,
         drive_omega_D=drive_omega_D,
         csv_name=csv_name,
-        delta_over_2pi_GHz=None if ghz is None else float(ghz),
     )
 
 
@@ -633,9 +631,13 @@ def _cmd_sweep(args) -> int:
 def _cmd_compare(args) -> int:
     rows = read_rows(args.rows)
     report = compare_report(rows)
+    # strict JSON has no NaN: the NaN rates of an error: row become null
+    strict = {k: None if isinstance(v, float) and not math.isfinite(v) else v
+              for k, v in report.items()}
     out = Path(args.out)
     out.write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        json.dumps(strict, indent=2, sort_keys=True, allow_nan=False) + "\n",
+        encoding="utf-8",
     )
     print(f"wrote {out}  (slope ratio {report['slope_ratio']:.4f})")
     return 0

@@ -1,4 +1,4 @@
-"""Truncated Fock-space operator algebra and Lindblad superoperator assembly.
+"""Truncated Fock-space operator algebra and superoperator building blocks.
 
 Conventions fixed repo-wide:
 
@@ -165,39 +165,3 @@ def _dissipator(l_op: sp.csr_matrix) -> sp.csr_matrix:
         - 0.5 * left_mult(ldl)
         - 0.5 * right_mult(ldl)
     )
-
-
-def lindblad_superoperator(
-    space: TruncatedSpace,
-    h: sp.csr_matrix | np.ndarray,
-    channels: list[tuple[float, sp.csr_matrix | np.ndarray]],
-) -> Superoperator:
-    """Assemble -i[H, .] + sum_k rate_k D[L_k] under column stacking.
-
-    Parameters
-    ----------
-    space : TruncatedSpace
-        The space every operator acts on.
-    h : (N, N) matrix, dense or sparse
-        Hamiltonian (Hermitian not enforced; the caller owns that).
-    channels : list of (rate, L)
-        Non-negative rates with their (N, N) jump operators.
-    """
-    n = space.total_dim
-    hs = sp.csr_matrix(h)
-    if hs.shape != (n, n):
-        raise ValueError(
-            f"Hamiltonian shape {hs.shape} does not match space dimension {n}"
-        )
-    gen = -1j * (left_mult(hs) - right_mult(hs))
-    for rate, l_op in channels:
-        if rate < 0:
-            raise ValueError(f"negative dissipation rate {rate}")
-        if l_op.shape != (n, n):
-            raise ValueError(
-                f"channel operator shape {l_op.shape} does not match space dimension {n}"
-            )
-        if rate == 0.0:
-            continue
-        gen = gen + rate * _dissipator(sp.csr_matrix(l_op))
-    return Superoperator(space, gen)

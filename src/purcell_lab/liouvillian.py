@@ -61,9 +61,11 @@ class GeneratorBundle:
     superop: Superoperator
     frame: object
     basis: str
-    toggles: TermToggles
     params: SystemParams
-    space: TruncatedSpace
+
+    @property
+    def space(self) -> TruncatedSpace:
+        return self.superop.space
 
     @property
     def t1_rate_scale(self) -> float:
@@ -88,19 +90,31 @@ _TOGGLED_TERMS = {
 }
 
 
+def _mode_terms(
+    ladder: tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix], tag: str
+) -> tuple[dict[str, sp.csr_matrix], dict[str, sp.csr_matrix]]:
+    """Unit-coefficient terms local to one mode, given its (lower, raise,
+    number) operators: n ("n_<tag>"), a^dag a^dag a a ("kerr_<tag>"), D[a]
+    ("decay_<tag>") and D[a^dag] ("heat_<tag>")."""
+    lower, raise_, number = ladder
+    return (
+        {f"n_{tag}": number, f"kerr_{tag}": raise_ @ raise_ @ lower @ lower},
+        {f"decay_{tag}": _dissipator(lower), f"heat_{tag}": _dissipator(raise_)},
+    )
+
+
 def _term_table(
     space: TruncatedSpace,
 ) -> tuple[dict[str, sp.csr_matrix], dict[str, sp.csr_matrix]]:
     """Unit-coefficient terms of every generator: (operators, superoperators).
 
     Hamiltonian terms are kept as operators O_k; their superoperators are
-    S_k = -i[O_k, .].  Keys: n_c, n_a, a^dag a^dag a a ("kerr_a"), n_c n_a
-    ("cross_kerr"), a^dag c + c^dag a ("exchange"), a^dag a^dag a c + h.c.
-    ("conversion"), a^dag a^dag a ("drive") and its adjoint ("drive_dag").
-
-    Dissipative terms are superoperators S_k: D[c] ("decay_c"), D[c^dag]
-    ("heat_c"), D[a] ("decay_a"), D[a^dag] ("heat_a"), and the three pieces
-    of the correlated dissipation between the two dressed modes,
+    S_k = -i[O_k, .].  Dissipative terms are superoperators S_k.  Each mode
+    contributes its local terms (:func:`_mode_terms`, tags "c" and "a");
+    the two modes share n_c n_a ("cross_kerr"), a^dag c + c^dag a
+    ("exchange"), a^dag a^dag a c + h.c. ("conversion"), a^dag a^dag a
+    ("drive") and its adjoint ("drive_dag"), and the three pieces of the
+    correlated dissipation between the two dressed modes,
 
         L_cd rho = -((gamma_up + gamma_down)/2) {a^dag c + c^dag a, rho}
                    + gamma_down (a rho c^dag + c rho a^dag)
@@ -109,15 +123,15 @@ def _term_table(
     keyed "cd_anticommutator", "cd_down" and "cd_up"; L_cd is
     trace-preserving for any real gamma_up, gamma_down.
     """
-    c, cd, nc = ladder_operators(space, 0)
-    a, ad, na = ladder_operators(space, 1)
+    cavity, qubit = ladder_operators(space, 0), ladder_operators(space, 1)
+    (c, cd, nc), (a, ad, na) = cavity, qubit
     exchange = ad @ c + cd @ a
     conversion = ad @ ad @ a @ c
     drive = ad @ ad @ a
+    (ops_c, sops_c), (ops_a, sops_a) = _mode_terms(cavity, "c"), _mode_terms(qubit, "a")
     operators = {
-        "n_c": nc,
-        "n_a": na,
-        "kerr_a": ad @ ad @ a @ a,
+        **ops_c,
+        **ops_a,
         "cross_kerr": nc @ na,
         "exchange": exchange,
         "conversion": conversion + conversion.conj().T,
@@ -125,10 +139,8 @@ def _term_table(
         "drive_dag": drive.conj().T,
     }
     superoperators = {
-        "decay_c": _dissipator(c),
-        "heat_c": _dissipator(cd),
-        "decay_a": _dissipator(a),
-        "heat_a": _dissipator(ad),
+        **sops_c,
+        **sops_a,
         "cd_anticommutator": -0.5 * (left_mult(exchange) + right_mult(exchange)),
         "cd_down": sandwich(a, cd) + sandwich(c, ad),
         "cd_up": sandwich(ad, c) + sandwich(cd, a),
@@ -147,7 +159,7 @@ def _term_sum(table, coeffs: dict[str, complex]) -> sp.csr_matrix:
     result.  Zero coefficients are skipped.
     """
     operators, superoperators = table
-    n = operators["n_c"].shape[0]
+    n = next(iter(operators.values())).shape[0]
     h = sp.csr_matrix((n, n), dtype=complex)
     for key, coeff in coeffs.items():
         if coeff != 0 and key in operators:
@@ -179,9 +191,8 @@ def _bath_coefficients(mode: str, kappa: float, nbar: float) -> dict[str, float]
 
 
 def _bare_coefficients(params: SystemParams) -> dict[str, complex]:
-    """Lab-frame bare Hamiltonian plus the independent thermal baths; the
-    terms follow the order of model.bare_hamiltonian, so the sums round
-    alike."""
+    """Lab-frame Hamiltonian omega_a n_a + omega_c n_c + g (a^dag c + h.c.)
+    - (U/2) a^dag a^dag a a plus the independent thermal baths."""
     return {
         "n_a": params.omega_a,
         "n_c": params.omega_c,
@@ -231,9 +242,7 @@ def build_bare(params: SystemParams, space: TruncatedSpace) -> GeneratorBundle:
         superop=_generator(space, _bare_coefficients(params)),
         frame=polariton_frame(params),
         basis="bare",
-        toggles=TermToggles(),
         params=params,
-        space=space,
     )
 
 
@@ -254,9 +263,7 @@ def build_blackbox(
         superop=_generator(space, coeffs),
         frame=frame,
         basis="blackbox",
-        toggles=toggles,
         params=params,
-        space=space,
     )
 
 
@@ -296,9 +303,7 @@ def build_displaced(
         superop=_generator(space, coeffs),
         frame=dframe,
         basis="displaced",
-        toggles=toggles,
         params=params,
-        space=space,
     )
 
 
@@ -318,7 +323,5 @@ def build_jc(params: SystemParams, space: TruncatedSpace) -> GeneratorBundle:
         superop=_generator(space, _bare_coefficients(params)),
         frame=polariton_frame(params),
         basis="jc",
-        toggles=TermToggles(),
         params=params,
-        space=space,
     )

@@ -27,9 +27,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-
-from .fockspace import TruncatedSpace, ladder_operators
 
 DISPERSIVE_ERROR = 0.5
 DISPERSIVE_WARN = 0.3
@@ -146,25 +143,6 @@ class DisplacedFrame:
     condition_number: float
     params: SystemParams
     drive: DriveParams
-
-
-def bare_hamiltonian(params: SystemParams, space: TruncatedSpace) -> sp.csr_matrix:
-    """Lab-frame Hamiltonian on a (cavity, qubit) space, as a CSR matrix.
-
-    H = omega_a a^dag a + g (a^dag c + h.c.) + omega_c c^dag c
-        - (U/2) a^dag a^dag a a
-    """
-    if space.n_modes != 2:
-        raise ValueError(f"expected a two-mode (cavity, qubit) space, got {space.n_modes} modes")
-    c, cd, nc = ladder_operators(space, 0)
-    a, ad, na = ladder_operators(space, 1)
-    h = (
-        params.omega_a * na
-        + params.omega_c * nc
-        + params.g * (ad @ c + cd @ a)
-        - 0.5 * params.U * (ad @ ad @ a @ a)
-    )
-    return h
 
 
 def polariton_frame(params: SystemParams) -> PolaritonFrame:

@@ -21,10 +21,15 @@ from .fockspace import (
     Superoperator,
     TruncatedSpace,
     ladder_operators,
-    lindblad_superoperator,
     vectorize,
 )
-from .liouvillian import GeneratorBundle, blackbox_perturbation_parts
+from .liouvillian import (
+    GeneratorBundle,
+    _bath_coefficients,
+    _mode_terms,
+    _term_sum,
+    blackbox_perturbation_parts,
+)
 from .model import DisplacedFrame, PolaritonFrame, SystemParams
 from .spectral import (
     ModeLabel,
@@ -138,17 +143,12 @@ def decoupled_block(
 
     Used as the brute-force reference the closed-form catalog is validated
     against: ``-i[omega n + kerr a^dag a^dag a a, .]`` plus a thermal bath
-    of rate ``kappa`` and occupancy ``nbar``.
+    of rate ``kappa`` and occupancy ``nbar``, summed from the same term
+    table as the model generators.
     """
-    space = TruncatedSpace((dim,))
-    a, ad, n = ladder_operators(space, 0)
-    h = omega * n + kerr * (ad @ ad @ a @ a)
-    channels = []
-    if kappa > 0:
-        channels.append((kappa * (1.0 + nbar), a))
-        if nbar > 0:
-            channels.append((kappa * nbar, ad))
-    return lindblad_superoperator(space, h, channels).data.toarray()
+    table = _mode_terms(ladder_operators(TruncatedSpace((dim,)), 0), "m")
+    coeffs = {"n_m": omega, "kerr_m": kerr, **_bath_coefficients("m", kappa, nbar)}
+    return _term_sum(table, coeffs).toarray()
 
 
 def _edge_mask(dim: int, exclude: int = 2) -> np.ndarray:

@@ -10,11 +10,63 @@ import scipy.sparse as sp
 from purcell_lab.fockspace import (
     Superoperator,
     TruncatedSpace,
+    ladder_operators,
     left_mult,
     right_mult,
     sandwich,
     trace_functional,
 )
+from purcell_lab.model import SystemParams
+
+
+def bare_hamiltonian(params: SystemParams, space: TruncatedSpace) -> sp.csr_matrix:
+    """Lab-frame Hamiltonian on a (cavity, qubit) space, as a CSR matrix.
+
+    H = omega_a a^dag a + g (a^dag c + h.c.) + omega_c c^dag c
+        - (U/2) a^dag a^dag a a
+    """
+    if space.n_modes != 2:
+        raise ValueError(f"expected a two-mode (cavity, qubit) space, got {space.n_modes} modes")
+    c, cd, nc = ladder_operators(space, 0)
+    a, ad, na = ladder_operators(space, 1)
+    return (
+        params.omega_a * na
+        + params.omega_c * nc
+        + params.g * (ad @ c + cd @ a)
+        - 0.5 * params.U * (ad @ ad @ a @ a)
+    )
+
+
+def lindblad_superoperator(space: TruncatedSpace, h, channels) -> Superoperator:
+    """Schrodinger-picture generator -i[H, .] + sum_k rate_k D[L_k], with
+    D[L] rho = L rho L^dag - (1/2){L^dag L, rho}.
+
+    ``channels`` is a list of (rate, L); a negative rate or an operator
+    whose shape does not match ``space`` raises ValueError, a zero rate is
+    skipped.
+    """
+    n = space.total_dim
+    hs = sp.csr_matrix(h)
+    if hs.shape != (n, n):
+        raise ValueError(
+            f"Hamiltonian shape {hs.shape} does not match space dimension {n}"
+        )
+    gen = -1j * (left_mult(hs) - right_mult(hs))
+    for rate, l_op in channels:
+        if rate < 0:
+            raise ValueError(f"negative dissipation rate {rate}")
+        if l_op.shape != (n, n):
+            raise ValueError(
+                f"channel operator shape {l_op.shape} does not match space dimension {n}"
+            )
+        if rate == 0.0:
+            continue
+        ls = sp.csr_matrix(l_op)
+        ldl = (ls.conj().T @ ls).tocsr()
+        gen = gen + rate * (
+            sandwich(ls, ls.conj().T) - 0.5 * left_mult(ldl) - 0.5 * right_mult(ldl)
+        )
+    return Superoperator(space, gen)
 
 
 def heisenberg_superoperator(space: TruncatedSpace, h, channels) -> Superoperator:

@@ -532,6 +532,28 @@ class TestCompareReport:
         assert 0.9 <= report["slope_ratio"] <= 1.1
         assert report["n_rows"] == 2
 
+    def test_error_row_writes_strict_json(self, tmp_path, capsys):
+        nan = math.nan
+        rows = [
+            make_row(0.0, nan, nan, fit=nan, flags=("error: RuntimeError: x",)),
+            make_row(1.0, 1.2, 1.1, fit=1.2),
+        ]
+        rows_path = tmp_path / "rows.csv"
+        write_rows(rows, config_from_dict(make_config()), rows_path)
+        report_path = tmp_path / "report.json"
+        assert main(["compare", "--rows", str(rows_path),
+                     "--out", str(report_path)]) == 0
+        assert "wrote" in capsys.readouterr().out
+
+        def reject(token):
+            raise ValueError(f"non-strict JSON constant {token}")
+
+        report = json.loads(report_path.read_text(encoding="utf-8"),
+                            parse_constant=reject)
+        assert report["slope_numeric"] is None
+        assert report["slope_ratio"] is None
+        assert report["n_rows"] == 2
+
 
 class TestCliEntry:
     def test_validate_exit_codes(self, tmp_path, capsys):

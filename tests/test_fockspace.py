@@ -8,10 +8,13 @@ from purcell_lab.fockspace import (
     ladder_operators,
     vectorize,
     unvectorize,
-    lindblad_superoperator,
     trace_functional,
 )
-from reference import heisenberg_superoperator, trace_preservation_residual
+from reference import (
+    heisenberg_superoperator,
+    lindblad_superoperator,
+    trace_preservation_residual,
+)
 
 
 def random_hermitian(rng, n):

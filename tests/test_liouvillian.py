@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from purcell_lab.fockspace import (
     TruncatedSpace,
     ladder_operators,
-    lindblad_superoperator,
     trace_functional,
     unvectorize,
     vectorize,
@@ -24,12 +23,15 @@ from purcell_lab.liouvillian import (
 from purcell_lab.model import (
     DriveParams,
     SystemParams,
-    bare_hamiltonian,
     displaced_frame,
     polariton_frame,
 )
 from purcell_lab.spectral import coherence_sectors
-from reference import trace_preservation_residual
+from reference import (
+    bare_hamiltonian,
+    lindblad_superoperator,
+    trace_preservation_residual,
+)
 
 
 def make_params(**over):

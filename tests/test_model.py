@@ -7,11 +7,11 @@ from purcell_lab.fockspace import TruncatedSpace
 from purcell_lab.model import (
     SystemParams,
     DriveParams,
-    bare_hamiltonian,
     polariton_frame,
     displaced_frame,
     displacement,
 )
+from reference import bare_hamiltonian
 
 
 def make_params(**over):

@@ -8,7 +8,12 @@ import scipy.sparse as sp
 
 import purcell_lab.perturbation
 import purcell_lab.spectral
-from purcell_lab.fockspace import Superoperator, TruncatedSpace, vectorize
+from purcell_lab.fockspace import (
+    Superoperator,
+    TruncatedSpace,
+    ladder_operators,
+    vectorize,
+)
 from purcell_lab.liouvillian import (
     blackbox_perturbation_parts,
     build_blackbox,
@@ -37,6 +42,7 @@ from purcell_lab.perturbation import (
     unperturbed_modes,
 )
 from purcell_lab.spectral import ModeLabel, SpectralMode, t1_rate_diag, t1_rate_fit
+from reference import lindblad_superoperator
 
 T1_LABEL = ModeLabel(m_c=0, m_a=0, k=1, kind="T1")
 
@@ -130,6 +136,20 @@ class TestClosedFormFamilies:
         for k in range(4):
             lam, _, _ = _single_mode_factor(1, k, dim, omega, -u / 2, kappa, nbar)
             assert np.min(np.abs(evals - lam)) <= 1e-9
+
+    @pytest.mark.parametrize("kerr", [0.0, -0.05])
+    @pytest.mark.parametrize(
+        "kappa, nbar", [(3e-3, 0.0), (3e-3, 0.12), (0.0, 0.0), (0.0, 0.1)]
+    )
+    def test_decoupled_block_matches_independent_build(self, kerr, kappa, nbar):
+        dim, omega = 7, 0.9
+        space = TruncatedSpace((dim,))
+        a, ad, n = ladder_operators(space, 0)
+        h = omega * n + kerr * (ad @ ad @ a @ a)
+        channels = [(kappa * (1.0 + nbar), a), (kappa * nbar, ad)]
+        want = lindblad_superoperator(space, h, channels).data.toarray()
+        got = decoupled_block(dim, omega, kerr, kappa, nbar)
+        assert np.max(np.abs(got - want)) <= 1e-15
 
     def test_coherence_coefficient_shapes(self):
         assert _coherence_right(6, 0.0)[1:] == pytest.approx(np.zeros(4))

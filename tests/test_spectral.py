@@ -12,7 +12,6 @@ from purcell_lab.fockspace import (
     Superoperator,
     TruncatedSpace,
     ladder_operators,
-    lindblad_superoperator,
     vectorize,
 )
 from purcell_lab.liouvillian import (
@@ -42,7 +41,7 @@ from purcell_lab.spectral import (
     t1_rate_diag,
     t1_rate_fit,
 )
-from reference import coupled_mode_complex_frequencies
+from reference import coupled_mode_complex_frequencies, lindblad_superoperator
 
 ALL_OFF = TermToggles(False, False, False, False)
 
@@ -61,14 +60,12 @@ def blackbox(dims, toggles=None, **over):
     )
 
 
-def manual_bundle(space, superop):
+def manual_bundle(superop):
     return GeneratorBundle(
         superop=superop,
         frame=None,
         basis="bare",
-        toggles=TermToggles(),
         params=None,
-        space=space,
     )
 
 
@@ -185,7 +182,7 @@ class TestSpectrum:
         space = TruncatedSpace((2, 2))
         m = sp.lil_matrix((16, 16), dtype=complex)
         m[0, 1] = 1.0  # Jordan block; not diagonalizable
-        bundle = manual_bundle(space, Superoperator(space, m.tocsr()))
+        bundle = manual_bundle(Superoperator(space, m.tocsr()))
         # no conditioning warning either: it would become a CSV flag whose
         # rcond digits depend on the BLAS
         with warnings.catch_warnings():
@@ -369,7 +366,7 @@ class TestEvolve:
         h = a @ a.conj().T * 0.0
         kappa = 0.37
         superop = lindblad_superoperator(space, h, [(kappa, a)])
-        bundle = manual_bundle(space, superop)
+        bundle = manual_bundle(superop)
         rho0 = np.zeros((6, 6), dtype=complex)
         rho0[1, 1] = 1.0  # |n_c=0, n_a=1>
         times = np.array([0.0, 0.3 / kappa, 1.0 / kappa])
@@ -383,7 +380,7 @@ class TestEvolve:
         omega = 0.9
         _, _, n_op = ladder_operators(space, 1)
         superop = lindblad_superoperator(space, n_op * omega, [])
-        bundle = manual_bundle(space, superop)
+        bundle = manual_bundle(superop)
         rho0 = np.zeros((4, 4), dtype=complex)
         rho0[0, 0] = rho0[1, 1] = 0.5
         rho0[0, 1] = rho0[1, 0] = 0.5
@@ -397,7 +394,7 @@ class TestEvolve:
     def test_trace_drift_raises(self):
         space = TruncatedSpace((2, 2))
         grower = Superoperator(space, sp.identity(16, format="csr") * 0.1)
-        bundle = manual_bundle(space, grower)
+        bundle = manual_bundle(grower)
         rho0 = np.eye(4, dtype=complex) / 4.0
         with pytest.raises(RuntimeError, match="trace drift"):
             evolve(bundle, rho0, np.array([0.0, 1.0]))
