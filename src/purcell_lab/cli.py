@@ -15,8 +15,10 @@ times are kept on the in-memory rows and reported on stdout only.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import math
+import os
 import sys
 import threading
 import time
@@ -24,6 +26,9 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
+
+import numpy
+import scipy
 
 from .fockspace import TruncatedSpace
 from .liouvillian import (
@@ -475,20 +480,57 @@ def _precheck_verdict(
     return converged, drift, "" if converged else "truncation-precheck-exceeded"
 
 
-def run_scenario(
-    config: ScenarioConfig, jobs: int = 1
-) -> tuple[list[SweepRow], dict]:
-    """Execute every grid point and assemble the run summary.
+def _openblas_threads() -> list[tuple]:
+    """(get, set) thread-count functions of each OpenBLAS copy that numpy
+    and scipy bundle and this process has loaded.
 
-    The bumped-cutoff precheck runs first; every point is then solved once,
-    and the top row doubles as the precheck's base rate.  With jobs > 1 the
-    points run on a thread pool (the heavy numerics release the GIL).  Each
-    point records the warnings its own thread raised, so rows (and CSV
-    bytes) do not depend on `jobs`; warnings of the precheck are dropped.
-    Row order always follows the grid.  The summary's ``wall_time_s``
-    covers the whole call, precheck included.
+    The two wheels ship separate copies in `<package>.libs/` (numpy's with
+    64-bit integer symbols).  A copy that is absent, not loaded, or lacks
+    the functions is left out, so the list may be empty.
     """
-    start = time.perf_counter()
+    controls = []
+    for package in (numpy, scipy):
+        name = package.__name__
+        libs = Path(package.__file__).resolve().parent.parent / f"{name}.libs"
+        for path in sorted(libs.glob("*openblas*")):
+            try:
+                lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
+            except OSError:  # not loaded by this process
+                continue
+            for suffix in ("64_", ""):
+                try:
+                    get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
+                    put = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+                except AttributeError:
+                    continue
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                controls.append((get, put))
+                break
+    return controls
+
+
+def _with_one_blas_thread(fn, *args):
+    """``fn(*args)`` with every bundled OpenBLAS copy at one thread.
+
+    The previous counts come back afterwards, also when `fn` raises; with
+    no copy found this is a plain call.
+    """
+    blas = [(put, get()) for get, put in _openblas_threads()]
+    try:
+        for put, _ in blas:
+            put(1)
+        return fn(*args)
+    finally:
+        for put, threads in reversed(blas):
+            put(threads)
+
+
+def _solve_grid(
+    config: ScenarioConfig, jobs: int
+) -> tuple[list[SweepRow], float, str]:
+    """Rows of every grid point, plus the bumped rate and failure note of
+    the precheck that runs before them."""
     with warnings.catch_warnings():
         warnings.simplefilter("always")
         warnings.showwarning = _record_warning
@@ -505,6 +547,29 @@ def run_scenario(
             with ThreadPoolExecutor(max_workers=jobs) as pool:
                 futures = [pool.submit(_run_point, config, v) for v in config.grid]
                 rows = [f.result() for f in futures]
+    return rows, wide, failure
+
+
+def run_scenario(
+    config: ScenarioConfig, jobs: int = 1
+) -> tuple[list[SweepRow], dict]:
+    """Execute every grid point and assemble the run summary.
+
+    The bumped-cutoff precheck runs first; every point is then solved once,
+    and the top row doubles as the precheck's base rate.  With jobs > 1 the
+    points run on a thread pool (the heavy numerics release the GIL).  Each
+    point records the warnings its own thread raised, so rows (and CSV
+    bytes) do not depend on `jobs`; warnings of the precheck are dropped.
+    Row order always follows the grid.  The summary's ``wall_time_s``
+    covers the whole call, precheck included.
+
+    The precheck and the points run with both bundled OpenBLAS copies at
+    one thread, so pool workers do not oversubscribe the cores and the
+    rates do not depend on the caller's BLAS thread count; the caller's
+    counts are restored on return, also when a point raises.
+    """
+    start = time.perf_counter()
+    rows, wide, failure = _with_one_blas_thread(_solve_grid, config, jobs)
     converged, drift, note = _precheck_verdict(rows[-1], wide, failure)
     prefix = (note,) if note else ()
     rows = [replace(row, converged=converged, flags=prefix + row.flags) for row in rows]
@@ -596,7 +661,8 @@ def compare_report(rows: list[SweepRow]) -> dict:
         "slope_numeric": slope_num,
         "slope_analytic": slope_ana,
         "slope_ratio": ratio,
-        "fit_vs_diag_max": max(fit_rel) if fit_rel else None,
+        # NaN from an error: row propagates through the max like the mean
+        "fit_vs_diag_max": float(numpy.max(fit_rel)) if fit_rel else None,
         "fit_vs_diag_mean": (sum(fit_rel) / len(fit_rel)) if fit_rel else None,
         "flags": sorted({f for r in rows for f in r.flags}),
     }

@@ -238,10 +238,8 @@ def _eigenmodes(
     dim = lop.shape[0]
     mag = bundle.superop.max_abs()
     if dim <= _DENSE_LIMIT:
-        # scipy.linalg runs on the same bundled OpenBLAS as ARPACK.  A
-        # numpy.linalg eig in one `--jobs` sweep worker while another runs
-        # ARPACK puts both OpenBLAS copies' busy-waiting threads on the same
-        # cores: a 218-dim block eig then took up to 8 s instead of 0.05 s.
+        # scipy.linalg runs on the same bundled OpenBLAS copy as ARPACK, so
+        # the mode search uses one copy on either path.
         w, rights = sla.eig(lop.toarray())
         # The inverse goes through LAPACK directly: `sla.inv` warns on an
         # ill-conditioned eigenvector matrix, that warning would reach the

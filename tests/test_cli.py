@@ -2,7 +2,12 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +20,8 @@ from purcell_lab.cli import (
     ConfigError,
     SweepRow,
     _flag_text,
+    _openblas_threads,
+    _with_one_blas_thread,
     compare_report,
     config_from_dict,
     load_config,
@@ -163,7 +170,10 @@ class TestRunScenario:
         for row in rows:
             params = SystemParams(**{**BASE_CONFIG["model"], "nbar_c0": row.value})
             frame = polariton_frame(params)
-            direct = t1_rate_diag(build_blackbox(frame, params, space)).gamma
+            # at the one BLAS thread the sweep runs with
+            direct = _with_one_blas_thread(
+                t1_rate_diag, build_blackbox(frame, params, space)
+            ).gamma
             assert row.gamma_diag == direct
             assert row.gamma_analytic_total == gamma_thermal_analytic(frame).total
             assert row.converged is True
@@ -302,8 +312,9 @@ class TestRunScenario:
             params = SystemParams(**{**BASE_CONFIG["model"], "omega_a": sign,
                                      "nbar_c0": 0.05})
             frame = polariton_frame(params)
-            direct = t1_rate_diag(
-                build_blackbox(frame, params, TruncatedSpace((8, 6)))
+            # at the one BLAS thread the sweep runs with
+            direct = _with_one_blas_thread(
+                t1_rate_diag, build_blackbox(frame, params, TruncatedSpace((8, 6)))
             ).gamma
             assert row.gamma_diag == direct
         # thermal correction raises the rate above detuning, lowers it below
@@ -358,6 +369,116 @@ class TestRunScenario:
         drive = _drive_for_photons(params, -0.1, 2.0)
         dframe = displaced_frame(params, drive)
         assert abs(dframe.alpha_c) ** 2 == pytest.approx(2.0, rel=1e-12)
+
+
+def blas_counts() -> list[int]:
+    return [get() for get, _ in _openblas_threads()]
+
+
+def set_blas_counts(counts) -> None:
+    for (_, put), count in zip(_openblas_threads(), counts):
+        put(count)
+
+
+class TestBlasThreads:
+    """Sweeps run both bundled OpenBLAS copies at one thread and give the
+    caller's counts back."""
+
+    @pytest.fixture
+    def two_threads(self):
+        # a known count other than the pinned one, restored afterwards
+        before = blas_counts()
+        if not before:
+            pytest.skip("no bundled OpenBLAS loaded")
+        set_blas_counts([2] * len(before))
+        yield [2] * len(before)
+        set_blas_counts(before)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_points_run_at_one_thread_and_counts_come_back(
+        self, monkeypatch, two_threads, jobs
+    ):
+        run_point, seen = purcell_lab.cli._run_point, []
+
+        def spy(config, value):
+            seen.append(blas_counts())
+            return run_point(config, value)
+
+        monkeypatch.setattr(purcell_lab.cli, "_run_point", spy)
+        config = config_from_dict(
+            make_config(truncation=[3, 2], sweep={"grid": [0.0, 0.01]})
+        )
+        run_scenario(config, jobs=jobs)
+        assert seen == [[1] * len(two_threads)] * 2
+        assert blas_counts() == two_threads
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_counts_come_back_when_a_point_raises(
+        self, monkeypatch, two_threads, jobs
+    ):
+        def fail(config, value):
+            raise KeyError("injected")
+
+        monkeypatch.setattr(purcell_lab.cli, "_run_point", fail)
+        config = config_from_dict(
+            make_config(truncation=[3, 2], sweep={"grid": [0.0, 0.01]})
+        )
+        with pytest.raises(KeyError, match="injected"):
+            run_scenario(config, jobs=jobs)
+        assert blas_counts() == two_threads
+
+    def test_no_openblas_found_is_a_plain_call(
+        self, monkeypatch, tmp_path, two_threads
+    ):
+        loaded = _openblas_threads()
+        for name in ("numpy", "scipy"):
+            package = SimpleNamespace(
+                __name__=name, __file__=str(tmp_path / name / "__init__.py")
+            )
+            monkeypatch.setattr(purcell_lab.cli, name, package)
+        assert _openblas_threads() == []
+        inside = _with_one_blas_thread(lambda: [get() for get, _ in loaded])
+        assert inside == two_threads
+
+    def test_unloaded_library_is_left_out(self, monkeypatch, two_threads):
+        def not_loaded(*args, **kwargs):
+            raise OSError("not loaded")
+
+        run_point, loaded, seen = purcell_lab.cli._run_point, _openblas_threads(), []
+
+        def spy(config, value):
+            seen.append([get() for get, _ in loaded])
+            return run_point(config, value)
+
+        monkeypatch.setattr(purcell_lab.cli, "_run_point", spy)
+        monkeypatch.setattr(purcell_lab.cli.ctypes, "CDLL", not_loaded)
+        assert _openblas_threads() == []
+        config = config_from_dict(make_config(truncation=[3, 2], sweep={"grid": [0.0]}))
+        rows, summary = run_scenario(config)
+        assert summary["hard_errors"] == 0 and len(rows) == 1
+        assert seen == [two_threads]
+
+    def test_csv_bytes_do_not_depend_on_blas_threads_or_jobs(self, tmp_path):
+        # at the dense (6, 5) cutoff an unpinned gamma_diag moves in its
+        # last printed digits between 1 and 2 BLAS threads
+        config_path = write_config(tmp_path, truncation=[6, 5],
+                                   sweep={"grid": [0.0, 0.05]})
+        src = str(Path(purcell_lab.cli.__file__).resolve().parents[1])
+        outputs = {}
+        for threads in ("1", "2"):
+            for jobs in ("1", "2"):
+                path = filter(None, (src, os.environ.get("PYTHONPATH")))
+                env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                       "PYTHONPATH": os.pathsep.join(path)}
+                out = tmp_path / f"t{threads}-j{jobs}"
+                subprocess.run(
+                    [sys.executable, "-m", "purcell_lab.cli", "sweep",
+                     "--config", str(config_path), "--out", str(out),
+                     "--jobs", jobs],
+                    env=env, check=True, capture_output=True, timeout=300,
+                )
+                outputs[threads, jobs] = (out / "unit.csv").read_bytes()
+        assert len(set(outputs.values())) == 1, outputs
 
 
 class TestCsvRoundTrip:
@@ -515,6 +636,16 @@ class TestCompareReport:
         report = compare_report(rows)
         assert report["fit_vs_diag_max"] == pytest.approx(0.02)
         assert report["fit_vs_diag_mean"] == pytest.approx(0.015)
+
+    @pytest.mark.parametrize("failed", [0, 1, 2])
+    def test_error_row_makes_fit_stats_nan_in_any_position(self, failed):
+        rows = [make_row(float(i), 1.0, 1.0, fit=1.02) for i in range(3)]
+        nan = math.nan
+        rows[failed] = make_row(float(failed), nan, nan, fit=nan,
+                                flags=("error: RuntimeError: x",))
+        report = compare_report(rows)
+        assert math.isnan(report["fit_vs_diag_max"])
+        assert math.isnan(report["fit_vs_diag_mean"])
 
     def test_too_few_rows(self):
         with pytest.raises(ValueError, match="at least 2"):
