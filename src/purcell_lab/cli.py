@@ -58,7 +58,8 @@ CSV_SCHEMA = "purcell-lab/sweep-v1"
 SWEEP_VARIABLES = ("nbar_c0", "drive_photons", "detuning_sign")
 # Relative drift of the diag rate under a +2 bump of every cutoff, checked
 # once at the most demanding grid point: the bumped solve runs before the
-# points, and its rate is compared with the top row's.
+# points (or beside them with --jobs > 1), and its rate is compared with the
+# top row's.
 CONVERGENCE_RTOL = 1e-3
 
 _MODEL_FIELDS = tuple(f.name for f in fields(SystemParams))
@@ -526,27 +527,38 @@ def _with_one_blas_thread(fn, *args):
             put(threads)
 
 
+def _precheck_outcome(config: ScenarioConfig) -> tuple[float, str]:
+    """The bumped rate and an empty failure note, or NaN and the note of
+    the guard or solver failure that stopped the precheck."""
+    try:
+        return _convergence_precheck(config), ""
+    except (ValueError, RuntimeError) as err:
+        # a guard or solver failure at the largest grid point is a
+        # per-point matter; the sweep itself proceeds and flags each row
+        return math.nan, _flag_text(err)
+
+
 def _solve_grid(
     config: ScenarioConfig, jobs: int
 ) -> tuple[list[SweepRow], float, str]:
     """Rows of every grid point, plus the bumped rate and failure note of
-    the precheck that runs before them."""
+    the precheck.  With one job the precheck runs before the points; with
+    more it is the first task of their pool, so it runs beside them."""
     with warnings.catch_warnings():
         warnings.simplefilter("always")
         warnings.showwarning = _record_warning
-        try:
-            wide, failure = _convergence_precheck(config), ""
-        except (ValueError, RuntimeError) as err:
-            # a guard or solver failure at the largest grid point is a
-            # per-point matter; the sweep itself proceeds and flags each row
-            wide, failure = math.nan, _flag_text(err)
-        jobs = max(1, min(jobs, len(config.grid)))
+        jobs = max(1, min(jobs, len(config.grid) + 1))  # +1: the precheck
         if jobs == 1:
+            wide, failure = _precheck_outcome(config)
             rows = [_run_point(config, v) for v in config.grid]
         else:
             with ThreadPoolExecutor(max_workers=jobs) as pool:
+                # the precheck is the longest task, so it goes first; its
+                # thread records no warnings outside `_run_point`
+                precheck = pool.submit(_precheck_outcome, config)
                 futures = [pool.submit(_run_point, config, v) for v in config.grid]
                 rows = [f.result() for f in futures]
+                wide, failure = precheck.result()
     return rows, wide, failure
 
 
@@ -555,13 +567,14 @@ def run_scenario(
 ) -> tuple[list[SweepRow], dict]:
     """Execute every grid point and assemble the run summary.
 
-    The bumped-cutoff precheck runs first; every point is then solved once,
-    and the top row doubles as the precheck's base rate.  With jobs > 1 the
-    points run on a thread pool (the heavy numerics release the GIL).  Each
-    point records the warnings its own thread raised, so rows (and CSV
-    bytes) do not depend on `jobs`; warnings of the precheck are dropped.
-    Row order always follows the grid.  The summary's ``wall_time_s``
-    covers the whole call, precheck included.
+    Every point is solved once, and the top row doubles as the base rate
+    of the bumped-cutoff precheck.  With jobs = 1 the precheck runs first;
+    with jobs > 1 it is one more task on the thread pool that runs the
+    points (the heavy numerics release the GIL), submitted first so it runs
+    beside them.  Each point records the warnings its own thread raised, so
+    rows (and CSV bytes) do not depend on `jobs`; warnings of the precheck
+    are dropped.  Row order always follows the grid.  The summary's
+    ``wall_time_s`` covers the whole call, precheck included.
 
     The precheck and the points run with both bundled OpenBLAS copies at
     one thread, so pool workers do not oversubscribe the cores and the

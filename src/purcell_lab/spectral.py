@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .fockspace import (
@@ -116,25 +117,38 @@ def coherence_sectors(space: TruncatedSpace) -> np.ndarray:
     return occ[rows] - occ[cols]
 
 
-def _eigs_with_retry(mat, k, sigma, dim, attempts=3):
-    """Shift-invert ARPACK with a deterministic start vector and retries.
+def _shift_invert(mat, sigma, attempts=3):
+    """``eigs(k, adjoint=False)``: shift-invert ARPACK near ``sigma``.
 
-    A shift landing on (or numerically too close to) an eigenvalue makes
-    the LU factorization singular; retries nudge the shift off the real
-    axis.
+    One sparse LU of ``mat - sig I``, built as scipy builds its own, serves
+    forward and adjoint calls (the adjoint at ``conj(sig)``).  A singular LU
+    or an ARPACK failure nudges the shift off the real axis and factors
+    again; ``attempts`` failures in one call raise.
     """
+    dim = mat.shape[0]
     v0 = np.ones(dim) / np.sqrt(dim)
-    sig = sigma
-    last = None
-    for _ in range(attempts):
-        try:
-            return spla.eigs(mat, k=k, sigma=sig, v0=v0)
-        except (RuntimeError, spla.ArpackError, np.linalg.LinAlgError) as exc:
-            last = exc
-            sig = sig * (1 + 1e-3) + 1e-3j * max(abs(sigma), 1e-12)
-    raise RuntimeError(
-        f"sparse eigensolver failed near shift {sigma!r}: {last}"
-    )
+    sig, lu = sigma, None
+
+    def eigs(k, adjoint=False):
+        nonlocal sig, lu
+        for _ in range(attempts):
+            try:
+                if lu is None:
+                    lu = spla.splu((mat - sig * sp.eye(dim)).tocsc())
+                trans, a, shift = (
+                    ("H", spla.aslinearoperator(mat).H, np.conj(sig))
+                    if adjoint else ("N", mat, sig)
+                )
+                op = spla.LinearOperator(
+                    mat.shape, lambda x: lu.solve(x, trans), dtype=mat.dtype
+                )
+                return spla.eigs(a, k=k, sigma=shift, v0=v0, OPinv=op)
+            except (RuntimeError, spla.ArpackError, np.linalg.LinAlgError) as exc:
+                last, lu = exc, None
+                sig = sig * (1 + 1e-3) + 1e-3j * max(abs(sigma), 1e-12)
+        raise RuntimeError(f"sparse eigensolver failed near shift {sigma!r}: {last}")
+
+    return eigs
 
 
 def steady_state(bundle: GeneratorBundle) -> np.ndarray:
@@ -151,9 +165,7 @@ def steady_state(bundle: GeneratorBundle) -> np.ndarray:
     if dim <= _DENSE_LIMIT:
         w, v = np.linalg.eig(superop.data.toarray())
     else:
-        w, v = _eigs_with_retry(
-            superop.data.tocsc(), k=2, sigma=0.1 * scale, dim=dim
-        )
+        w, v = _shift_invert(superop.data.tocsc(), 0.1 * scale)(k=2)
     order = np.argsort(np.abs(w))
     lam1 = w[order[1]]
     vec = v[:, order[0]]
@@ -233,7 +245,9 @@ def _eigenmodes(
     The body of `spectrum`, shared with `t1_rate_diag`'s sector solve.  The
     dense-or-sparse choice uses the dimension of ``lop``; tolerances and the
     sparse shift come from the full generator, so a block is checked as
-    strictly as the whole.
+    strictly as the whole.  The sparse path factors ``lop - sigma I`` once:
+    that one LU serves the forward and the adjoint ARPACK solves and every
+    window-widening round, and is factored again only at a nudged shift.
     """
     dim = lop.shape[0]
     mag = bundle.superop.max_abs()
@@ -264,16 +278,14 @@ def _eigenmodes(
         if count is None:
             count = SPARSE_COUNT
         k = max(count + 4, 12)
-        sig = SPARSE_SHIFT * bundle.t1_rate_scale
-        mat = lop.tocsc()
-        adjoint = mat.conj().T.tocsc()
+        eigs = _shift_invert(lop.tocsc(), SPARSE_SHIFT * bundle.t1_rate_scale)
         # The forward and adjoint solver windows may disagree on which
         # eigenvalues sit at their outer edge; widen both until every kept
         # forward eigenvalue has its adjoint partner.
         unmatched = None
         for _ in range(3):
-            wr, vr = _eigs_with_retry(mat, k=k, sigma=sig, dim=dim)
-            wl, vl = _eigs_with_retry(adjoint, k=k, sigma=np.conj(sig), dim=dim)
+            wr, vr = eigs(k)
+            wl, vl = eigs(k, adjoint=True)
             wl_as_right = np.conj(wl)
             pairs = []
             for i in np.argsort(np.abs(wr.real), kind="stable")[:count]:

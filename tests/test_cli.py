@@ -5,6 +5,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import warnings
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -369,6 +371,77 @@ class TestRunScenario:
         drive = _drive_for_photons(params, -0.1, 2.0)
         dframe = displaced_frame(params, drive)
         assert abs(dframe.alpha_c) ** 2 == pytest.approx(2.0, rel=1e-12)
+
+
+class TestOverlappedPrecheck:
+    """With jobs > 1 the precheck is one more pool task; rows and summary
+    are those of the serial sweep."""
+
+    CONFIG = make_config(truncation=[3, 2], sweep={"grid": [0.0, 0.01, 0.02]})
+
+    def sweep(self, jobs):
+        rows, summary = run_scenario(config_from_dict(self.CONFIG), jobs)
+        del summary["wall_time_s"]
+        return [replace(r, wall_time_s=0.0) for r in rows], summary
+
+    def test_precheck_runs_beside_the_points(self, monkeypatch):
+        precheck = purcell_lab.cli._convergence_precheck
+        run_point = purcell_lab.cli._run_point
+        point_started = threading.Event()
+        seen = []
+
+        def waits_for_a_point(config):
+            seen.append(point_started.wait(timeout=20))
+            return precheck(config)
+
+        def spy(config, value):
+            point_started.set()
+            return run_point(config, value)
+
+        monkeypatch.setattr(purcell_lab.cli, "_convergence_precheck", waits_for_a_point)
+        monkeypatch.setattr(purcell_lab.cli, "_run_point", spy)
+        self.sweep(2)
+        assert seen == [True]
+
+    def test_failed_precheck_gives_the_serial_rows(self, monkeypatch):
+        def fail(config):
+            raise RuntimeError("injected precheck failure")
+
+        monkeypatch.setattr(purcell_lab.cli, "_convergence_precheck", fail)
+        serial, summary = self.sweep(1)
+        assert summary["converged"] is False and math.isnan(summary["precheck_drift"])
+        assert all(
+            r.flags[0] == "truncation-precheck-failed: injected precheck failure"
+            for r in serial
+        )
+        threaded, threaded_summary = self.sweep(2)
+        assert threaded == serial
+        assert math.isnan(threaded_summary.pop("precheck_drift"))
+        del summary["precheck_drift"]
+        assert threaded_summary == summary
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_precheck_warning_leaves_no_row_flag(self, monkeypatch, jobs):
+        precheck = purcell_lab.cli._convergence_precheck
+
+        def warns(config):
+            warnings.warn("injected precheck warning")
+            return precheck(config)
+
+        clean = self.sweep(1)
+        monkeypatch.setattr(purcell_lab.cli, "_convergence_precheck", warns)
+        rows, summary = self.sweep(jobs)
+        assert not any(f.startswith("warn:") for r in rows for f in r.flags)
+        assert (rows, summary) == clean
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_other_precheck_errors_propagate(self, monkeypatch, jobs):
+        def fail(config):
+            raise KeyError("injected")
+
+        monkeypatch.setattr(purcell_lab.cli, "_convergence_precheck", fail)
+        with pytest.raises(KeyError, match="injected"):
+            self.sweep(jobs)
 
 
 def blas_counts() -> list[int]:

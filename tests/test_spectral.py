@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg
 
 import purcell_lab.spectral
 from purcell_lab.fockspace import (
@@ -197,6 +198,118 @@ class TestSpectrum:
         monkeypatch.setattr(scipy.linalg, "eig", singular_eig)
         with pytest.raises(RuntimeError, match="singular eigenvector matrix"):
             spectrum(blackbox((2, 2)))
+
+
+def driven_bundle():
+    # the drive opens the population block, so `spectrum` and `t1_rate_diag`
+    # both solve the full dim-256 generator; the tests ask for the 8 modes
+    # nearest the shift, where ARPACK's vectors hold the Gram matrix to 1e-9
+    params = make_params(U=0.1)
+    frame = displaced_frame(params, DriveParams(0.05, -0.1))
+    return build_displaced(frame, params, TruncatedSpace((4, 4)))
+
+
+class TestShiftInvert:
+    """The sparse path factors each shift once for the forward and the
+    adjoint solve, and factors again only at a nudged shift."""
+
+    @pytest.fixture
+    def solver_calls(self, monkeypatch):
+        """Counted `splu` and `eigs` of the sparse path, with the dense path
+        switched off; `fail` makes that many next `splu` calls raise."""
+        spla = purcell_lab.spectral.spla
+        splu, eigs = spla.splu, spla.eigs
+        calls = {"splu": [], "eigs": [], "fail": 0}
+
+        def counted_splu(mat):
+            calls["splu"].append(mat)
+            if calls["fail"]:
+                calls["fail"] -= 1
+                raise RuntimeError("Factor is exactly singular")
+            return splu(mat)
+
+        def counted_eigs(a, **kwargs):
+            calls["eigs"].append(kwargs)
+            return eigs(a, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", counted_splu)
+        monkeypatch.setattr(spla, "eigs", counted_eigs)
+        monkeypatch.setattr(purcell_lab.spectral, "_DENSE_LIMIT", 0)
+        return calls
+
+    @staticmethod
+    def assert_matches_dense(modes, bundle):
+        dense = scipy.linalg.eigvals(bundle.superop.data.toarray())
+        for m in modes:
+            assert np.min(np.abs(dense - m.lam)) <= 1e-9 * max(1.0, abs(m.lam))
+        lmat = np.column_stack([m.left for m in modes])
+        rmat = np.column_stack([m.right for m in modes])
+        gram = lmat.conj().T @ rmat
+        assert np.max(np.abs(gram - np.eye(len(modes)))) <= 1e-9
+
+    def test_one_factorization_serves_forward_and_adjoint(self, solver_calls):
+        bundle = driven_bundle()
+        sparse = spectrum(bundle, count=8)
+        assert len(solver_calls["splu"]) == 1
+        assert len(solver_calls["eigs"]) == 2
+        forward, adjoint = solver_calls["eigs"]
+        assert adjoint["sigma"] == np.conj(forward["sigma"])
+        self.assert_matches_dense(sparse, bundle)
+
+    def test_forward_solve_matches_scipy_shift_invert(self):
+        # the LU is built as scipy builds its own, so the eigenpairs are the
+        # same bits, and the CSV rates do not move
+        mat = driven_bundle().superop.data.tocsc()
+        sig = purcell_lab.spectral.SPARSE_SHIFT * 1e-4
+        v0 = np.ones(mat.shape[0]) / np.sqrt(mat.shape[0])
+        w, v = purcell_lab.spectral._shift_invert(mat, sig)(k=10)
+        w_ref, v_ref = scipy.sparse.linalg.eigs(mat, k=10, sigma=sig, v0=v0)
+        assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref)
+
+    def test_widening_round_reuses_the_factorization(self, solver_calls, monkeypatch):
+        eigs = purcell_lab.spectral.spla.eigs
+
+        def first_adjoint_misses(a, **kwargs):
+            w, v = eigs(a, **kwargs)
+            if len(solver_calls["eigs"]) == 2:  # the first adjoint solve
+                w = w + 1.0
+            return w, v
+
+        monkeypatch.setattr(purcell_lab.spectral.spla, "eigs", first_adjoint_misses)
+        bundle = driven_bundle()
+        sparse = spectrum(bundle, count=8)
+        assert len(solver_calls["splu"]) == 1
+        ks = [kwargs["k"] for kwargs in solver_calls["eigs"]]
+        assert ks == [ks[0]] * 2 + [2 * ks[0]] * 2
+        self.assert_matches_dense(sparse, bundle)
+
+    def test_steady_state_factors_once(self, solver_calls):
+        bundle = driven_bundle()
+        rho = steady_state(bundle)
+        assert len(solver_calls["splu"]) == 1
+        residual = np.linalg.norm(bundle.superop.data @ vectorize(rho))
+        assert residual < 1e-10 * bundle.superop.max_abs()
+
+    def test_failed_factorization_moves_the_shift(self, solver_calls):
+        solver_calls["fail"] = 1
+        bundle = driven_bundle()
+        sparse = spectrum(bundle, count=8)
+        sig = purcell_lab.spectral.SPARSE_SHIFT * bundle.t1_rate_scale
+        nudged = sig * (1 + 1e-3) + 1e-3j * abs(sig)
+        first, second = solver_calls["splu"]
+        shift = (first - second).diagonal()
+        assert np.allclose(shift, nudged - sig, rtol=0, atol=1e-15)
+        assert [kwargs["sigma"] for kwargs in solver_calls["eigs"]] == [
+            nudged, np.conj(nudged)
+        ]
+        self.assert_matches_dense(sparse, bundle)
+
+    def test_three_failures_raise(self, solver_calls):
+        solver_calls["fail"] = 3
+        with pytest.raises(RuntimeError, match="sparse eigensolver failed near shift"):
+            spectrum(driven_bundle(), count=8)
+        assert len(solver_calls["splu"]) == 3
+        assert solver_calls["eigs"] == []
 
 
 class TestBlockLabels:
