@@ -19,11 +19,12 @@ import ctypes
 import json
 import math
 import os
+import re
 import sys
 import threading
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -52,7 +53,7 @@ from .perturbation import (
     gamma_jc_analytic,
     gamma_thermal_analytic,
 )
-from .spectral import FIT_WINDOW, block_labels, steady_state, t1_rate_diag, t1_rate_fit
+from .spectral import FIT_WINDOW, block_labels, spectrum, t1_rate_diag, t1_rate_fit
 
 CSV_SCHEMA = "purcell-lab/sweep-v1"
 SWEEP_VARIABLES = ("nbar_c0", "drive_photons", "detuning_sign")
@@ -152,7 +153,7 @@ def config_from_dict(raw: dict) -> ScenarioConfig:
 
     name = raw.get("name")
     _require(
-        isinstance(name, str) and name and all(c.isalnum() or c in "_-" for c in name),
+        isinstance(name, str) and re.fullmatch(r"[A-Za-z0-9_-]+", name),
         "name must be a nonempty string of [A-Za-z0-9_-]",
     )
 
@@ -415,14 +416,11 @@ def _run_point(config: ScenarioConfig, value: float) -> SweepRow:
     try:
         bundle, analytic, regime = _build_point(config, value, config.truncation)
         flags.extend(regime)
-        rho_ss = steady_state(bundle)  # shared by both protocols
-        gamma_diag = t1_rate_diag(bundle, rho_ss=rho_ss).gamma
+        diag = t1_rate_diag(bundle)
+        gamma_diag = diag.gamma
         if config.rates in ("fit", "both"):
             gamma_fit = t1_rate_fit(
-                bundle,
-                horizon=config.fit_horizon,
-                window=config.fit_window,
-                rho_ss=rho_ss,
+                bundle, diag.rho_ss, config.fit_horizon, config.fit_window
             ).gamma
         total, base = analytic.total, analytic.base
         nc_nc, nc_cd, cd_cd = analytic.nc_nc, analytic.nc_cd, analytic.cd_cd
@@ -557,6 +555,12 @@ def _solve_grid(
                 # thread records no warnings outside `_run_point`
                 precheck = pool.submit(_precheck_outcome, config)
                 futures = [pool.submit(_run_point, config, v) for v in config.grid]
+                try:
+                    for done in as_completed([precheck, *futures]):
+                        done.result()  # the first uncaught failure raises here
+                except BaseException:  # Ctrl-C too: drop the queued points
+                    pool.shutdown(cancel_futures=True)
+                    raise
                 rows = [f.result() for f in futures]
                 wide, failure = precheck.result()
     return rows, wide, failure
@@ -725,7 +729,7 @@ def _cmd_compare(args) -> int:
 def _cmd_spectrum(args) -> int:
     config = load_config(args.config)
     bundle, _, _ = _build_point(config, config.grid[-1], config.truncation)
-    modes = block_labels(bundle, count=args.count)
+    modes = block_labels(bundle, spectrum(bundle, count=args.count))
     print(f"# {config.name}: {config.variable}={config.grid[-1]:g}, "
           f"{len(modes)} slowest modes")
     print(f"{'Re lambda':>24}  {'Im lambda':>24}  label")

@@ -31,13 +31,7 @@ from .liouvillian import (
     blackbox_perturbation_parts,
 )
 from .model import DisplacedFrame, PolaritonFrame, SystemParams
-from .spectral import (
-    ModeLabel,
-    SpectralMode,
-    steady_state,
-    t1_rate_diag,
-    t1_rate_fit,
-)
+from .spectral import ModeLabel, SpectralMode, t1_rate_diag, t1_rate_fit
 
 # Relative gap below which the perturbation target counts as degenerate.
 DEGENERACY_RTOL = 1e-9
@@ -710,17 +704,17 @@ def rate_report(bundle: GeneratorBundle) -> RateReport:
     Runs the eigenmode protocol, the time-domain fit (default horizon and
     ``spectral.FIT_WINDOW``), the analytic formulas, and the perturbation
     engine on the same bundle.  Only meaningful for the dressed-frame
-    ("blackbox") basis, whose analytic formulas these are.  Both numeric
-    protocols share one steady state.
+    ("blackbox") basis, whose analytic formulas these are.  The fit starts
+    from the steady state the eigenmode protocol returns.
     """
     if bundle.basis != "blackbox":
         raise ValueError(
             f"rate_report needs a dressed-frame generator, got basis "
             f"{bundle.basis!r}"
         )
-    rho_ss = steady_state(bundle)
-    gamma_diag = t1_rate_diag(bundle, rho_ss=rho_ss).gamma
-    gamma_fit = t1_rate_fit(bundle, rho_ss=rho_ss).gamma
+    diag = t1_rate_diag(bundle)
+    gamma_diag = diag.gamma
+    gamma_fit = t1_rate_fit(bundle, diag.rho_ss).gamma
     analytic = gamma_thermal_analytic(bundle.frame)
     pt = gamma_thermal_pt(bundle.frame, bundle.space)
     discrepancies = {

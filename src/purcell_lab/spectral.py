@@ -2,10 +2,11 @@
 relaxation-rate extraction protocols.
 
 Both rate protocols start from the steady state with one extra qubit
-excitation injected (``rho0 ~ a_dag rho_ss a``): `t1_rate_diag` reads the
-rate off the slowest excited eigenmode, `t1_rate_fit` fits the tail of a
-direct time evolution.  Agreement between the two is itself a physics
-check, so they share as little code as possible.
+excitation injected (``rho0 ~ a_dag rho_ss a``): `t1_rate_diag` solves
+that state and reads the rate off the slowest excited eigenmode,
+`t1_rate_fit` takes the state and fits the tail of a time evolution.
+Agreement between the two is itself a physics check, so they share as
+little code as possible.
 """
 
 from __future__ import annotations
@@ -93,6 +94,7 @@ class T1DiagResult:
     gamma/mode come from the slowest decaying excited mode with weight
     above the floor; gamma_by_weight/mode_by_weight from the excited mode
     with the largest weight.  agree is False when the two disagree.
+    rho_ss is the steady state the excitation was injected on.
     """
 
     gamma: float
@@ -100,6 +102,7 @@ class T1DiagResult:
     gamma_by_weight: float
     mode_by_weight: SpectralMode
     agree: bool
+    rho_ss: np.ndarray
 
 
 def coherence_sectors(space: TruncatedSpace) -> np.ndarray:
@@ -345,9 +348,7 @@ def spectrum(
 
 
 def block_labels(
-    bundle: GeneratorBundle,
-    modes: list[SpectralMode] | None = None,
-    count: int | None = None,
+    bundle: GeneratorBundle, modes: list[SpectralMode]
 ) -> list[SpectralMode]:
     """Label modes by coherence sector; returns the modes with label set.
 
@@ -355,8 +356,6 @@ def block_labels(
     of its right vector's weight, or a "mixed" label otherwise.  k ranks
     modes within each sector by |Re lambda| ascending.
     """
-    if modes is None:
-        modes = spectrum(bundle, count=count)
     sectors = coherence_sectors(bundle.space)
     uniq, inv = np.unique(sectors, axis=0, return_inverse=True)
     assignments = []
@@ -412,20 +411,18 @@ def _embed(vec: np.ndarray, idx: np.ndarray, dim: int) -> np.ndarray:
     return full
 
 
-def t1_rate_diag(
-    bundle: GeneratorBundle, rho_ss: np.ndarray | None = None
-) -> T1DiagResult:
+def t1_rate_diag(bundle: GeneratorBundle) -> T1DiagResult:
     """Eigenmode readout of the slow qubit relaxation rate.
 
-    Injects one qubit excitation on top of the steady state, computes mode
-    weights w = <l, rho0>, and selects the excited mode by two criteria
-    (slowest decaying above ``WEIGHT_FLOOR``; largest weight).  Their
-    disagreement is flagged in the result and as a warning.  The modes are
-    those `spectrum` would give, restricted to the population (M = 0) block
-    when the generator leaves it closed; the returned modes are full-length.
+    Solves the steady state (returned as ``rho_ss``), injects one qubit
+    excitation on top of it, computes mode weights w = <l, rho0>, and
+    selects the excited mode by two criteria (slowest decaying above
+    ``WEIGHT_FLOOR``; largest weight).  Their disagreement is flagged in the
+    result and as a warning.  The modes are those `spectrum` would give,
+    restricted to the population (M = 0) block when the generator leaves it
+    closed; the returned modes are full-length.
     """
-    if rho_ss is None:
-        rho_ss = steady_state(bundle)
+    rho_ss = steady_state(bundle)
     v0 = vectorize(_injected_excitation(bundle, rho_ss))
     scale = bundle.t1_rate_scale
     lop = bundle.superop.data
@@ -466,6 +463,7 @@ def t1_rate_diag(
         gamma_by_weight=gamma_w,
         mode_by_weight=heaviest,
         agree=agree,
+        rho_ss=rho_ss,
     )
 
 
@@ -562,22 +560,20 @@ def fit_exponential_tail(
 
 def t1_rate_fit(
     bundle: GeneratorBundle,
+    rho_ss: np.ndarray,
     horizon: float | None = None,
     window: tuple[float, float] = FIT_WINDOW,
-    rho_ss: np.ndarray | None = None,
 ) -> FitResult:
     """Time-domain readout of the slow qubit relaxation rate.
 
-    Evolves the injected-excitation state on a uniform grid of
-    ``FIT_STEPS`` steps out to ``horizon`` (default 20 / t1_rate_scale,
-    late enough for fast modes to die), then fits the tail of
-    <n_qubit>(t).  A fit residual above ``FIT_RESIDUAL_TOL`` rejects the
-    fit.
+    Evolves the steady state ``rho_ss`` (as `t1_rate_diag` returns it) with
+    one qubit excitation injected on a uniform grid of ``FIT_STEPS`` steps
+    out to ``horizon`` (default 20 / t1_rate_scale, late enough for fast
+    modes to die), then fits the tail of <n_qubit>(t).  A fit residual above
+    ``FIT_RESIDUAL_TOL`` rejects the fit.
     """
     scale = bundle.t1_rate_scale
     horizon = horizon if horizon is not None else 20.0 / scale
-    if rho_ss is None:
-        rho_ss = steady_state(bundle)
     rho0 = _injected_excitation(bundle, rho_ss)
     n_qubit = ladder_operators(bundle.space, 1)[2].toarray()
     times = np.linspace(0.0, horizon, FIT_STEPS + 1)

@@ -207,8 +207,9 @@ def test_c05_protocol_cross_check():
     for nbar in OCC_GRID:
         params = make_params(omega_a=-1.0, U=0.1, nbar_c0=nbar)
         bundle = build_blackbox(polariton_frame(params), params, space)
-        g_diag = t1_rate_diag(bundle).gamma
-        g_fit = t1_rate_fit(bundle).gamma
+        diag = t1_rate_diag(bundle)
+        g_diag = diag.gamma
+        g_fit = t1_rate_fit(bundle, diag.rho_ss).gamma
         rel = abs(g_fit - g_diag) / g_diag
         worst = max(worst, rel)
         details.append(f"nbar={nbar}: {rel:.1e}")

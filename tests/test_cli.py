@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -36,7 +37,7 @@ from purcell_lab.fockspace import TruncatedSpace
 from purcell_lab.liouvillian import build_blackbox, build_jc
 from purcell_lab.model import DriveParams, SystemParams, displaced_frame, polariton_frame
 from purcell_lab.perturbation import gamma_jc_analytic, gamma_thermal_analytic
-from purcell_lab.spectral import t1_rate_diag, t1_rate_fit
+from purcell_lab.spectral import steady_state, t1_rate_diag, t1_rate_fit
 
 BASE_CONFIG = {
     "name": "unit",
@@ -93,6 +94,10 @@ class TestConfigSchema:
             ({"model": {"flux": 0.3}}, "unknown model keys"),
             ({"toggles": {"include_nc": 1}}, "booleans"),
             ({"output": {"csv": "../escape.csv"}}, "bare"),
+            # names are ASCII, although str.isalnum accepts these
+            ({"name": "tüst"}, "name must be"),
+            ({"name": "x²"}, "name must be"),
+            ({"name": "٣"}, "name must be"),
             # JSON booleans are not numbers
             ({"model": {"kappa_c": True}}, "model.kappa_c"),
             ({"sweep": {"grid": [False, True]}}, "sweep.grid"),
@@ -242,7 +247,8 @@ class TestRunScenario:
         expected = []
         for value in config.grid:
             bundle = purcell_lab.cli._build_point(config, value, (3, 2))[0]
-            expected.append((t1_rate_diag(bundle).gamma, t1_rate_fit(bundle).gamma))
+            rho_ss = steady_state(bundle)
+            expected.append((t1_rate_diag(bundle).gamma, t1_rate_fit(bundle, rho_ss).gamma))
         solve = purcell_lab.spectral.steady_state
         calls = []
 
@@ -442,6 +448,30 @@ class TestOverlappedPrecheck:
         monkeypatch.setattr(purcell_lab.cli, "_convergence_precheck", fail)
         with pytest.raises(KeyError, match="injected"):
             self.sweep(jobs)
+
+    @pytest.mark.parametrize("failing", ["point", "precheck"])
+    def test_failure_stops_the_queued_points(self, monkeypatch, failing):
+        # an uncaught failure cancels the points still queued: only those
+        # already running when it raised finish
+        jobs, started = 2, []
+
+        def fail(*args):
+            raise KeyError("injected")
+
+        def point(config, value):
+            started.append(value)
+            if failing == "point" and value == config.grid[0]:
+                fail()
+            time.sleep(0.2)
+
+        monkeypatch.setattr(purcell_lab.cli, "_run_point", point)
+        if failing == "precheck":
+            monkeypatch.setattr(purcell_lab.cli, "_convergence_precheck", fail)
+        grid = [0.01 * i for i in range(8)]
+        config = config_from_dict(make_config(truncation=[3, 2], sweep={"grid": grid}))
+        with pytest.raises(KeyError, match="injected"):
+            run_scenario(config, jobs)
+        assert len(started) <= 1 + jobs
 
 
 def blas_counts() -> list[int]:

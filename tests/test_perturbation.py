@@ -41,7 +41,13 @@ from purcell_lab.perturbation import (
     rate_report,
     unperturbed_modes,
 )
-from purcell_lab.spectral import ModeLabel, SpectralMode, t1_rate_diag, t1_rate_fit
+from purcell_lab.spectral import (
+    ModeLabel,
+    SpectralMode,
+    steady_state,
+    t1_rate_diag,
+    t1_rate_fit,
+)
 from reference import lindblad_superoperator
 
 T1_LABEL = ModeLabel(m_c=0, m_a=0, k=1, kind="T1")
@@ -551,7 +557,8 @@ class TestRateReport:
     def test_one_steady_state_solve(self, monkeypatch):
         params, frame = thermal_frame(nbar_c0=0.05)
         bundle = build_blackbox(frame, params, TruncatedSpace((4, 3)))
-        expected = (t1_rate_diag(bundle).gamma, t1_rate_fit(bundle).gamma)
+        rho_ss = steady_state(bundle)
+        expected = (t1_rate_diag(bundle).gamma, t1_rate_fit(bundle, rho_ss).gamma)
         solve = purcell_lab.spectral.steady_state
         calls = []
 

@@ -387,6 +387,19 @@ class TestT1RateDiag:
         with pytest.raises(RuntimeError, match="weight"):
             t1_rate_diag(bundle)
 
+    @pytest.mark.parametrize(
+        "dims,dense_limit", [((4, 3), None), ((4, 3), 0), ((8, 6), None)]
+    )
+    def test_returns_the_steady_state(self, monkeypatch, dims, dense_limit):
+        # dim 144 dense, dim 144 and dim 2304 through shift-invert ARPACK
+        if dense_limit is not None:
+            monkeypatch.setattr(purcell_lab.spectral, "_DENSE_LIMIT", dense_limit)
+        bundle = blackbox(dims, nbar_c0=0.12, kappa_a=0.001)
+        rho = t1_rate_diag(bundle).rho_ss
+        assert np.array_equal(rho, steady_state(bundle))
+        assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
+        assert np.max(np.abs(rho - rho.conj().T)) < 1e-14
+
 
 def reference_diag(bundle, rho_ss):
     """t1_rate_diag's two selection rules applied to the full-space spectrum."""
@@ -425,9 +438,10 @@ class TestPopulationSector:
         bundle = sector_bundles()[name]
         rho_ss = steady_state(bundle)
         gamma, gamma_w = reference_diag(bundle, rho_ss)
+        monkeypatch.setattr(purcell_lab.spectral, "steady_state", lambda b: rho_ss)
         if dense_limit is not None:  # the block goes through ARPACK
             monkeypatch.setattr(purcell_lab.spectral, "_DENSE_LIMIT", dense_limit)
-        res = t1_rate_diag(bundle, rho_ss=rho_ss)
+        res = t1_rate_diag(bundle)
         assert res.gamma == pytest.approx(gamma, rel=1e-9)
         assert res.gamma_by_weight == pytest.approx(gamma_w, rel=1e-9)
 
@@ -458,6 +472,7 @@ class TestPopulationSector:
     def test_diag_diagonalizes_only_the_block(self, monkeypatch):
         bundle = blackbox((6, 5), nbar_c0=0.05)
         rho_ss = steady_state(bundle)
+        monkeypatch.setattr(purcell_lab.spectral, "steady_state", lambda b: rho_ss)
         sizes = []
 
         def spy(eig):
@@ -468,7 +483,7 @@ class TestPopulationSector:
 
         monkeypatch.setattr(np.linalg, "eig", spy(np.linalg.eig))
         monkeypatch.setattr(scipy.linalg, "eig", spy(scipy.linalg.eig))
-        t1_rate_diag(bundle, rho_ss=rho_ss)
+        t1_rate_diag(bundle)
         assert sizes and max(sizes) <= 110
 
 
@@ -551,8 +566,8 @@ class TestT1RateFit:
     def test_fit_matches_diag(self):
         bundle = blackbox((6, 5), nbar_c0=0.1)
         rho_ss = steady_state(bundle)
-        fit = t1_rate_fit(bundle, rho_ss=rho_ss)
-        diag = t1_rate_diag(bundle, rho_ss=rho_ss)
+        fit = t1_rate_fit(bundle, rho_ss)
+        diag = t1_rate_diag(bundle)
         assert fit.gamma == pytest.approx(diag.gamma, rel=1e-2)
         assert fit.residual < 1e-3
 
