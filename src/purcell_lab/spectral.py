@@ -2,11 +2,12 @@
 relaxation-rate extraction protocols.
 
 Both rate protocols start from the steady state with one extra qubit
-excitation injected (``rho0 ~ a_dag rho_ss a``): `t1_rate_diag` solves
-that state and reads the rate off the slowest excited eigenmode,
-`t1_rate_fit` takes the state and fits the tail of a time evolution.
-Agreement between the two is itself a physics check, so they share as
-little code as possible.
+excitation injected (``rho0 ~ a_dag rho_ss a``): `t1_rate_diag` reads the
+rate off the slowest excited eigenmode, `t1_rate_fit` fits the tail of a
+time evolution.  Agreement between the two is itself a physics check, so
+they share as little code as possible.  The steady state is a full dense
+``eig`` up to ``_DENSE_LIMIT``, above it the zero mode of `t1_rate_diag`'s
+own mode search.
 """
 
 from __future__ import annotations
@@ -154,29 +155,19 @@ def _shift_invert(mat, sigma, attempts=3):
     return eigs
 
 
-def steady_state(bundle: GeneratorBundle) -> np.ndarray:
-    """Unique trace-1 steady density matrix of the generator.
-
-    Raises RuntimeError when the steady space is degenerate or the null
-    vector is not a physical state (eigenvalues below ``PSD_FLOOR``).
-    Small negative populations above the floor are clipped away with a
-    warning and the state renormalized.
-    """
-    superop = bundle.superop
-    dim = superop.data.shape[0]
+def _zero_mode_state(bundle: GeneratorBundle, lams, rights, idx=None) -> np.ndarray:
+    """`steady_state`'s checks on the zero mode among ``lams``; ``rights[i]``
+    is the right vector of ``lams[i]``, on the block ``idx`` when given."""
     scale = bundle.t1_rate_scale
-    if dim <= _DENSE_LIMIT:
-        w, v = np.linalg.eig(superop.data.toarray())
-    else:
-        w, v = _shift_invert(superop.data.tocsc(), 0.1 * scale)(k=2)
-    order = np.argsort(np.abs(w))
-    lam1 = w[order[1]]
-    vec = v[:, order[0]]
-    if abs(lam1) < 1e-6 * scale:
+    zero = np.abs(lams) < 1e-6 * scale
+    if zero.sum() != 1:
+        what = "degenerate steady space" if zero.any() else "no zero mode in the window"
         raise RuntimeError(
-            f"degenerate steady space: second eigenvalue {lam1:.3e} within "
-            f"1e-6 of zero on the scale {scale:.3e}"
+            f"{what}: {zero.sum()} eigenvalues within 1e-6 * {scale:.3e} of zero"
         )
+    vec = rights[np.argmax(zero)]
+    if idx is not None:
+        vec = _embed(vec, idx, bundle.superop.data.shape[0])
     rho = unvectorize(vec, bundle.space)
     rho = 0.5 * (rho + rho.conj().T)
     tr = np.trace(rho)
@@ -198,6 +189,21 @@ def steady_state(bundle: GeneratorBundle) -> np.ndarray:
         rho = (evecs * evals) @ evecs.conj().T
         rho = rho / np.trace(rho).real
     return rho
+
+
+def steady_state(bundle: GeneratorBundle) -> np.ndarray:
+    """Unique trace-1 steady density matrix of the generator: the null vector
+    of a full dense ``eig`` up to ``_DENSE_LIMIT``, above it the zero mode of
+    `t1_rate_diag`'s mode search.  Raises RuntimeError when no eigenvalue, or
+    more than one, lies within 1e-6 * t1_rate_scale of zero, or when the state
+    is not physical (eigenvalues below ``PSD_FLOOR``); small negative
+    populations above the floor are clipped with a warning.
+    """
+    data = bundle.superop.data
+    if data.shape[0] > _DENSE_LIMIT:
+        return _t1_modes(bundle)[2]
+    w, v = np.linalg.eig(data.toarray())
+    return _zero_mode_state(bundle, w, v.T)
 
 
 def _biorthonormalize(modes: list[SpectralMode], mag: float) -> None:
@@ -248,9 +254,8 @@ def _eigenmodes(
     The body of `spectrum`, shared with `t1_rate_diag`'s sector solve.  The
     dense-or-sparse choice uses the dimension of ``lop``; tolerances and the
     sparse shift come from the full generator, so a block is checked as
-    strictly as the whole.  The sparse path factors ``lop - sigma I`` once:
-    that one LU serves the forward and the adjoint ARPACK solves and every
-    window-widening round, and is factored again only at a nudged shift.
+    strictly as the whole.  The sparse path factors ``lop - sigma I`` once
+    for the forward and adjoint solves and every widening round.
     """
     dim = lop.shape[0]
     mag = bundle.superop.max_abs()
@@ -300,7 +305,7 @@ def _eigenmodes(
                 pairs.append((i, j))
             if pairs is not None:
                 break
-            k *= 2
+            k = min(2 * k, dim - 2)  # scipy needs k < dim - 1
         else:
             raise RuntimeError(
                 f"no adjoint eigenvalue matches lambda={unmatched:.6e} even "
@@ -389,48 +394,49 @@ def _injected_excitation(bundle: GeneratorBundle, rho_ss: np.ndarray) -> np.ndar
     return rho0 / tr
 
 
-def _population_sector(bundle: GeneratorBundle) -> np.ndarray | None:
-    """Indices of the M = 0 components, or None when that block is not closed.
-
-    M is the ket's excitation number minus the bra's.  Generators that
-    conserve excitation number (bare, blackbox, jc) store no entry joining
-    an M = 0 component to an M != 0 one, so the steady state, the injected
-    excitation and every population mode live in the M = 0 block; a driven
-    displaced generator stores such entries.
-    """
-    population = coherence_sectors(bundle.space).sum(1) == 0
-    coo = bundle.superop.data.tocoo()
-    if np.any(population[coo.row] != population[coo.col]):
-        return None
-    return np.flatnonzero(population)
-
-
 def _embed(vec: np.ndarray, idx: np.ndarray, dim: int) -> np.ndarray:
     full = np.zeros(dim, dtype=vec.dtype)
     full[idx] = vec
     return full
 
 
+def _t1_modes(bundle: GeneratorBundle):
+    """`t1_rate_diag`'s modes, the indices of the M = 0 block they are
+    restricted to (None when the generator joins it to the rest; M is the
+    ket's excitation number minus the bra's) and the steady state.  Bare,
+    blackbox and jc generators conserve excitation number, so the steady
+    state, the injected excitation and every population mode live there.
+    """
+    lop, idx = bundle.superop.data, None
+    population = coherence_sectors(bundle.space).sum(1) == 0
+    coo = lop.tocoo()
+    if not np.any(population[coo.row] != population[coo.col]):
+        idx = np.flatnonzero(population)
+        lop = lop[idx][:, idx]
+    modes = _eigenmodes(bundle, lop, None)
+    if bundle.superop.data.shape[0] <= _DENSE_LIMIT:
+        return modes, idx, steady_state(bundle)
+    lams = np.array([m.lam for m in modes])
+    return modes, idx, _zero_mode_state(bundle, lams, [m.right for m in modes], idx)
+
+
 def t1_rate_diag(bundle: GeneratorBundle) -> T1DiagResult:
     """Eigenmode readout of the slow qubit relaxation rate.
 
-    Solves the steady state (returned as ``rho_ss``), injects one qubit
-    excitation on top of it, computes mode weights w = <l, rho0>, and
-    selects the excited mode by two criteria (slowest decaying above
-    ``WEIGHT_FLOOR``; largest weight).  Their disagreement is flagged in the
-    result and as a warning.  The modes are those `spectrum` would give,
-    restricted to the population (M = 0) block when the generator leaves it
-    closed; the returned modes are full-length.
+    Searches the modes `spectrum` would give, restricted to the population
+    (M = 0) block when the generator leaves it closed, injects one qubit
+    excitation on the steady state (``rho_ss``: a full dense ``eig`` up to
+    ``_DENSE_LIMIT``, above it this search's zero mode), computes mode
+    weights w = <l, rho0>, and selects the excited mode by two criteria
+    (slowest decaying above ``WEIGHT_FLOOR``; largest weight).  Their
+    disagreement is flagged in the result and as a warning.  The returned
+    modes are full-length.
     """
-    rho_ss = steady_state(bundle)
+    modes, idx, rho_ss = _t1_modes(bundle)
     v0 = vectorize(_injected_excitation(bundle, rho_ss))
     scale = bundle.t1_rate_scale
-    lop = bundle.superop.data
-    idx = _population_sector(bundle)
     if idx is not None:
-        lop = lop[idx][:, idx]
         v0 = v0[idx]
-    modes = _eigenmodes(bundle, lop, None)
     excited = []
     for m in modes:
         m.weight = complex(np.vdot(m.left, v0))

@@ -6,6 +6,7 @@ is evidence rather than a tautology.
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from purcell_lab.fockspace import (
     Superoperator,
@@ -15,6 +16,7 @@ from purcell_lab.fockspace import (
     right_mult,
     sandwich,
     trace_functional,
+    unvectorize,
 )
 from purcell_lab.model import SystemParams
 
@@ -84,6 +86,29 @@ def heisenberg_superoperator(space: TruncatedSpace, h, channels) -> Superoperato
             sandwich(ls.conj().T, ls) - 0.5 * left_mult(ldl) - 0.5 * right_mult(ldl)
         )
     return Superoperator(space, gen)
+
+
+def shift_invert_steady_state(bundle) -> np.ndarray:
+    """Trace-1 steady state from its own shift-invert ARPACK solve.
+
+    The two eigenvalues nearest ``0.1 * t1_rate_scale`` of the full
+    generator; the one nearest zero gives the state, made Hermitian, of
+    unit trace, and with small negative populations clipped away as
+    `steady_state` clips them.
+    """
+    mat = bundle.superop.data.tocsc()
+    dim = mat.shape[0]
+    v0 = np.ones(dim) / np.sqrt(dim)
+    w, v = spla.eigs(mat, k=2, sigma=0.1 * bundle.t1_rate_scale, v0=v0)
+    rho = unvectorize(v[:, np.argmin(np.abs(w))], bundle.space)
+    rho = 0.5 * (rho + rho.conj().T)
+    rho = rho / np.trace(rho)
+    evals, evecs = np.linalg.eigh(rho)
+    if evals.min() < -1e-14:
+        evals = np.clip(evals, 0.0, None)
+        rho = (evecs * evals) @ evecs.conj().T
+        rho = rho / np.trace(rho).real
+    return rho
 
 
 def trace_preservation_residual(superop: Superoperator) -> float:

@@ -302,6 +302,28 @@ class TestRunScenario:
             assert any(f.startswith("error:") for f in row.flags)
             assert math.isnan(row.gamma_diag)
 
+    def test_missing_zero_mode_becomes_row_flag(self, monkeypatch):
+        # a shift near i * |Delta| puts the sparse window of every solve, the
+        # precheck's included, among the qubit coherences, far from lambda = 0
+        monkeypatch.setattr(purcell_lab.spectral, "_DENSE_LIMIT", 0)
+        monkeypatch.setattr(purcell_lab.spectral, "SPARSE_SHIFT", 1e4j)
+        config = config_from_dict(
+            make_config(
+                model={"U": 0.1},
+                sweep={"variable": "drive_photons", "grid": [1.0]},
+                drive={"omega_D": -0.1},
+                truncation=[3, 3],
+            )
+        )
+        rows, summary = run_scenario(config)
+        (row,) = rows
+        errors = [f for f in row.flags if f.startswith("error:")]
+        assert len(errors) == 1
+        assert errors[0].startswith("error: no zero mode in the window")
+        assert "Traceback" not in errors[0]
+        assert math.isnan(row.gamma_diag) and summary["hard_errors"] == 1
+        assert summary["converged"] is False
+
     def test_summary_time_covers_the_precheck(self):
         config = config_from_dict(make_config(truncation=[3, 2], sweep={"grid": [0.0]}))
         rows, summary = run_scenario(config)

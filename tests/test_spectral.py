@@ -1,14 +1,20 @@
 """Tests for steady states, spectra, labels, and the two rate protocols."""
 
+import json
 import warnings
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import purcell_lab.spectral
+from purcell_lab.cli import _build_point, config_from_dict
 from purcell_lab.fockspace import (
     Superoperator,
     TruncatedSpace,
@@ -30,9 +36,10 @@ from purcell_lab.model import (
     polariton_frame,
 )
 from purcell_lab.spectral import (
+    PSD_FLOOR,
     ModeLabel,
     SpectralMode,
-    _population_sector,
+    _t1_modes,
     block_labels,
     coherence_sectors,
     evolve,
@@ -42,9 +49,15 @@ from purcell_lab.spectral import (
     t1_rate_diag,
     t1_rate_fit,
 )
-from reference import coupled_mode_complex_frequencies, lindblad_superoperator
+from reference import (
+    coupled_mode_complex_frequencies,
+    lindblad_superoperator,
+    shift_invert_steady_state,
+)
 
 ALL_OFF = TermToggles(False, False, False, False)
+DENSE_LIMIT = purcell_lab.spectral._DENSE_LIMIT
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def make_params(**over):
@@ -92,7 +105,8 @@ class TestSteadyState:
 
     def test_qubit_population_matches_dressed_occupancy(self):
         # deviation is O(g^2 U / Delta^3) = 1e-4 at these parameters;
-        # exercises the sparse shift-invert branch (superop dim 2304)
+        # superop dim 2304 is above the dense limit, so the state is the zero
+        # mode of the population block's dense eig (block dim 218)
         bundle = blackbox((8, 6), nbar_c0=0.1)
         rho = steady_state(bundle)
         n_a = ladder_operators(bundle.space, 1)[2].toarray()
@@ -290,6 +304,21 @@ class TestShiftInvert:
         residual = np.linalg.norm(bundle.superop.data @ vectorize(rho))
         assert residual < 1e-10 * bundle.superop.max_abs()
 
+    def test_driven_diag_factors_once(self, solver_calls):
+        # the steady state is the zero mode of the forward window, so the
+        # mode search's one LU and its two ARPACK solves serve the point
+        t1_rate_diag(driven_bundle())
+        assert len(solver_calls["splu"]) == 1
+        forward, adjoint = solver_calls["eigs"]
+        assert adjoint["sigma"] == np.conj(forward["sigma"])
+
+    def test_blackbox_diag_factors_nothing(self, solver_calls, monkeypatch):
+        # dim 2304 is above the dense limit but its population block (218)
+        # is not: the block's dense eig holds the zero mode
+        monkeypatch.setattr(purcell_lab.spectral, "_DENSE_LIMIT", DENSE_LIMIT)
+        t1_rate_diag(blackbox((8, 6), nbar_c0=0.15))
+        assert solver_calls["splu"] == [] and solver_calls["eigs"] == []
+
     def test_failed_factorization_moves_the_shift(self, solver_calls):
         solver_calls["fail"] = 1
         bundle = driven_bundle()
@@ -388,17 +417,92 @@ class TestT1RateDiag:
             t1_rate_diag(bundle)
 
     @pytest.mark.parametrize(
-        "dims,dense_limit", [((4, 3), None), ((4, 3), 0), ((8, 6), None)]
+        "dims,dense_limit",
+        [((4, 3), None), ((4, 3), 0), ((8, 6), None), ("driven", 0)],
     )
     def test_returns_the_steady_state(self, monkeypatch, dims, dense_limit):
-        # dim 144 dense, dim 144 and dim 2304 through shift-invert ARPACK
+        # dim 144 by a full dense eig; above the limit the zero mode of the
+        # mode search: dim 144 by block ARPACK, dim 2304 by the block's dense
+        # eig, and the driven dim-256 generator by the full shift-invert window
         if dense_limit is not None:
             monkeypatch.setattr(purcell_lab.spectral, "_DENSE_LIMIT", dense_limit)
-        bundle = blackbox(dims, nbar_c0=0.12, kappa_a=0.001)
+        if dims == "driven":
+            bundle = driven_bundle()
+        else:
+            bundle = blackbox(dims, nbar_c0=0.12, kappa_a=0.001)
         rho = t1_rate_diag(bundle).rho_ss
         assert np.array_equal(rho, steady_state(bundle))
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
         assert np.max(np.abs(rho - rho.conj().T)) < 1e-14
+
+    @pytest.mark.parametrize("case", ["driven 10 photons", "blackbox nbar 0.15"])
+    def test_steady_state_matches_shift_invert_reference(self, case):
+        # both superoperators are dim 2304, above the dense limit
+        if case.startswith("driven"):
+            config = config_from_dict(
+                json.loads((CONFIGS / "drive_sweep.json").read_text())
+            )
+            bundle = _build_point(config, 10.0, (8, 6))[0]
+        else:
+            bundle = blackbox((8, 6), nbar_c0=0.15)
+        rho = t1_rate_diag(bundle).rho_ss
+        assert np.max(np.abs(rho - shift_invert_steady_state(bundle))) <= 1e-10
+
+    def test_no_zero_mode_in_the_window(self, monkeypatch):
+        # a shift near i * |Delta| puts the window among the qubit coherences
+        monkeypatch.setattr(purcell_lab.spectral, "_DENSE_LIMIT", 0)
+        monkeypatch.setattr(purcell_lab.spectral, "SPARSE_SHIFT", 1e4j)
+        with pytest.raises(RuntimeError, match="no zero mode in the window"):
+            t1_rate_diag(driven_bundle())
+
+
+@st.composite
+def small_generators(draw):
+    """One of the four generator kinds at README-regime parameters, at
+    cutoffs whose population block is large enough for block ARPACK."""
+    kind = draw(st.sampled_from(["bare", "blackbox", "jc", "displaced"]))
+    params = make_params(
+        omega_a=draw(st.sampled_from([1.0, -1.0])),
+        g=draw(st.floats(0.02, 0.15)),
+        U=draw(st.floats(0.0, 0.1)),
+        kappa_a=draw(st.floats(0.0, 0.002)),
+        kappa_c=draw(st.floats(0.005, 0.02)),
+        nbar_c0=draw(st.floats(0.0, 0.15)),
+    )
+    n_c = draw(st.integers(4, 5))
+    if kind == "jc":
+        return build_jc(replace(params, kappa_a=0.0), TruncatedSpace((n_c + 2, 2)))
+    space = TruncatedSpace((n_c, 3))
+    if kind == "bare":
+        return build_bare(params, space)
+    if kind == "blackbox":
+        return build_blackbox(polariton_frame(params), params, space)
+    cold = replace(params, nbar_c0=0.0)
+    drive = DriveParams(draw(st.floats(0.005, 0.05)), draw(st.floats(-0.5, -0.1)))
+    return build_displaced(displaced_frame(cold, drive), cold, space)
+
+
+class TestSteadyStateFromModes:
+    @settings(max_examples=20)
+    @given(small_generators())
+    # block dim 37: the window widens until k is capped below the dimension
+    @example(
+        build_bare(
+            make_params(omega_a=-1.0, g=0.125, U=0.0625, kappa_c=0.015625),
+            TruncatedSpace((5, 3)),
+        )
+    )
+    def test_zero_mode_is_the_physical_steady_state(self, bundle):
+        dense = steady_state(bundle)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(purcell_lab.spectral, "_DENSE_LIMIT", 0)
+            rho = steady_state(bundle)
+        assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
+        assert np.max(np.abs(rho - rho.conj().T)) < 1e-14
+        assert np.linalg.eigvalsh(rho).min() >= PSD_FLOOR
+        residual = np.linalg.norm(bundle.superop.data @ vectorize(rho))
+        assert residual <= 1e-10 * bundle.superop.max_abs()
+        assert np.max(np.abs(rho - dense)) <= 1e-9
 
 
 def reference_diag(bundle, rho_ss):
@@ -459,15 +563,15 @@ class TestPopulationSector:
     def test_builders_give_the_population_indices(self):
         for name, bundle in sector_bundles().items():
             want = np.flatnonzero(coherence_sectors(bundle.space).sum(1) == 0)
-            assert np.array_equal(_population_sector(bundle), want), name
+            assert np.array_equal(_t1_modes(bundle)[1], want), name
 
     def test_driven_displaced_block_is_open(self):
         params = make_params(U=0.1)
         space = TruncatedSpace((4, 4))
         driven = displaced_frame(params, DriveParams(0.05, -0.1))
-        assert _population_sector(build_displaced(driven, params, space)) is None
+        assert _t1_modes(build_displaced(driven, params, space))[1] is None
         undriven = displaced_frame(params, DriveParams(0.0, -0.1))
-        assert _population_sector(build_displaced(undriven, params, space)) is not None
+        assert _t1_modes(build_displaced(undriven, params, space))[1] is not None
 
     def test_diag_diagonalizes_only_the_block(self, monkeypatch):
         bundle = blackbox((6, 5), nbar_c0=0.05)
