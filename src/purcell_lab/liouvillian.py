@@ -70,10 +70,10 @@ class GeneratorBundle:
     @property
     def t1_rate_scale(self) -> float:
         """Characteristic slow relaxation rate used for eigensolver shifts."""
-        if isinstance(self.frame, DisplacedFrame):
-            scale = self.frame.kappa_a_tp
-        else:
-            scale = self.frame.kappa_a_t
+        frame = self.frame
+        if isinstance(frame, DisplacedFrame):
+            frame = frame.dressed
+        scale = frame.kappa_a_t
         if scale <= 0:
             scale = 1e-3 * max(
                 self.params.kappa_a, self.params.kappa_c, 1e-9
@@ -219,21 +219,16 @@ def _polariton_coefficients(frame: PolaritonFrame) -> dict[str, complex]:
 
 
 def _displaced_coefficients(dframe: DisplacedFrame) -> dict[str, complex]:
-    """Rotating-frame constants, zero-temperature baths, and the residual
-    drive V = drive_coeff * a^dag a^dag a + h.c."""
-    return {
-        "n_c": dframe.omega_c_tp,
-        "n_a": dframe.omega_a_tp,
-        "kerr_a": dframe.chi_aa_p,
-        "cross_kerr": dframe.chi_ca_p,
-        "conversion": dframe.chi_t_p,
-        **_bath_coefficients("c", dframe.kappa_c_tp, 0.0),
-        **_bath_coefficients("a", dframe.kappa_a_tp, 0.0),
-        "cd_anticommutator": dframe.gamma_down_p,
-        "cd_down": dframe.gamma_down_p,
-        "drive": dframe.drive_coeff,
-        "drive_dag": np.conj(dframe.drive_coeff),
-    }
+    """The polariton frame at the drive-shifted detuning, rotating at the
+    drive frequency, plus the residual drive V = drive_coeff * a^dag a^dag a
+    + h.c.  The frame's baths are at zero temperature, so its heat_* and
+    cd_up coefficients are zero and drop out of the sum."""
+    coeffs = _polariton_coefficients(dframe.dressed)
+    coeffs["n_c"] -= dframe.drive.omega_D
+    coeffs["n_a"] -= dframe.drive.omega_D
+    coeffs["drive"] = dframe.drive_coeff
+    coeffs["drive_dag"] = np.conj(dframe.drive_coeff)
+    return coeffs
 
 
 def build_bare(params: SystemParams, space: TruncatedSpace) -> GeneratorBundle:

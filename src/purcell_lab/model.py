@@ -11,9 +11,10 @@ Three frames are provided:
   Hamiltonian to second order in g/Delta, with dressed frequencies,
   nonlinearities, decay rates, occupancies, and the correlated-dissipation
   rates coupling the two dressed modes,
-* the displaced frame for a coherently driven cavity: a rotating frame at
-  the drive frequency plus coherent displacements that remove the linear
-  drive, leaving drive-dressed constants and a residual nonlinear drive.
+* the displaced frame for a coherently driven cavity: coherent
+  displacements that remove the linear drive, the polariton frame at the
+  drive-shifted detuning Delta' = Delta - 2U|alpha_a|^2, and a residual
+  nonlinear drive; its generator rotates at the drive frequency.
 
 The dressed constants are implemented exactly at the truncated order in
 g/Delta at which the downstream rate formulas are derived, so analytic
@@ -121,25 +122,19 @@ class PolaritonFrame:
 class DisplacedFrame:
     """Drive-dressed constants in the displaced rotating frame.
 
-    alpha_c, alpha_a solve the classical displacement problem; all dressed
-    constants are evaluated with Delta -> delta_prime = Delta - 2U|alpha_a|^2.
-    drive_coeff = -U * alpha_a multiplies the residual nonlinear
-    single-photon drive (a'^dag a'^dag a' + h.c.).  omega_a_tp / omega_c_tp
-    are rotating-frame frequencies (drive frequency already subtracted).
+    alpha_c, alpha_a solve the classical displacement problem.  dressed is
+    the polariton frame at the drive-shifted detuning
+    Delta' = Delta - 2U|alpha_a|^2, with the qubit frequency shifted by the
+    same -2U|alpha_a|^2; its frequencies are lab-frame, and the displaced
+    generator rotates them at drive.omega_D.  drive_coeff = -U * alpha_a
+    multiplies the residual nonlinear single-photon drive
+    (a'^dag a'^dag a' + h.c.).
     """
 
     alpha_c: complex
     alpha_a: complex
-    delta_prime: float
-    kappa_a_tp: float
-    kappa_c_tp: float
-    gamma_down_p: float
+    dressed: PolaritonFrame
     drive_coeff: complex
-    omega_a_tp: float
-    omega_c_tp: float
-    chi_aa_p: float
-    chi_ca_p: float
-    chi_t_p: float
     condition_number: float
     params: SystemParams
     drive: DriveParams
@@ -147,7 +142,12 @@ class DisplacedFrame:
 
 def polariton_frame(params: SystemParams) -> PolaritonFrame:
     """Dressed constants of the hybridized frame, to second order in g/Delta."""
-    d = params.delta
+    return _dressed(params, params.omega_a, params.delta)
+
+
+def _dressed(params: SystemParams, omega_a: float, d: float) -> PolaritonFrame:
+    """Polariton-frame constants for qubit frequency omega_a and detuning d;
+    every other constant comes from params."""
     g, u = params.g, params.U
     ka, kc = params.kappa_a, params.kappa_c
     na0, nc0 = params.nbar_a0, params.nbar_c0
@@ -166,7 +166,7 @@ def polariton_frame(params: SystemParams) -> PolaritonFrame:
 
     return PolaritonFrame(
         delta=d,
-        omega_a_t=params.omega_a + g**2 / d,
+        omega_a_t=omega_a + g**2 / d,
         omega_c_t=params.omega_c - g**2 / d,
         chi_aa=-(u / 2.0) * (1.0 - g**2 / (2.0 * d**2)),
         chi_ca=-2.0 * g**2 * u / d**2,
@@ -215,11 +215,15 @@ def displacement(
 
 
 def displaced_frame(params: SystemParams, drive: DriveParams) -> DisplacedFrame:
-    """Solve the displacement problem and dress the frame constants.
+    """Solve the displacement problem and dress the frame at the drive.
 
-    The displacements come from `displacement`; every dressed constant is
-    then evaluated with Delta -> delta_prime = Delta - 2U|alpha_a|^2.
+    The displacements come from `displacement`; the dressed constants are
+    the polariton frame's with Delta -> Delta' = Delta - 2U|alpha_a|^2 and
+    omega_a -> omega_a - 2U|alpha_a|^2.  Only zero-temperature baths are
+    supported.
     """
+    if params.nbar_a0 > 0 or params.nbar_c0 > 0:
+        raise ValueError("the displaced frame assumes zero-temperature baths")
     alpha_c, alpha_a, cond = displacement(params, drive)
 
     n_drive = float(abs(alpha_a) ** 2)
@@ -230,25 +234,16 @@ def displaced_frame(params: SystemParams, drive: DriveParams) -> DisplacedFrame:
             stacklevel=2,
         )
 
-    g, u = params.g, params.U
+    u = params.U
     dprime = params.delta - 2.0 * u * n_drive
     if dprime == 0.0:
-        raise ValueError("drive-shifted detuning delta_prime vanished")
-    sp_ = (g / dprime) ** 2
+        raise ValueError("drive-shifted detuning Delta' vanished")
 
     return DisplacedFrame(
         alpha_c=complex(alpha_c),
         alpha_a=complex(alpha_a),
-        delta_prime=dprime,
-        kappa_a_tp=params.kappa_a + sp_ * (params.kappa_c - params.kappa_a),
-        kappa_c_tp=params.kappa_c + sp_ * (params.kappa_a - params.kappa_c),
-        gamma_down_p=(g / dprime) * (params.kappa_c - params.kappa_a),
+        dressed=_dressed(params, params.omega_a - 2.0 * u * n_drive, dprime),
         drive_coeff=-u * complex(alpha_a),
-        omega_a_tp=params.omega_a - 2.0 * u * n_drive + g**2 / dprime - drive.omega_D,
-        omega_c_tp=params.omega_c - g**2 / dprime - drive.omega_D,
-        chi_aa_p=-(u / 2.0) * (1.0 - g**2 / (2.0 * dprime**2)),
-        chi_ca_p=-2.0 * g**2 * u / dprime**2,
-        chi_t_p=g * u / dprime,
         condition_number=cond,
         params=params,
         drive=drive,

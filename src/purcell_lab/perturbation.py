@@ -441,6 +441,13 @@ class Gamma2Breakdown:
             )
 
 
+def _check_conversion_resonance(p: SystemParams, what: str) -> None:
+    """Raise ValueError at the conversion resonance Delta = U, where the
+    (Delta - U) denominators of `what` vanish."""
+    if abs(p.delta - p.U) <= 1e-12 * max(abs(p.delta), abs(p.U), 1.0):
+        raise ValueError(f"conversion resonance Delta = U: {what} diverge")
+
+
 def gamma_thermal_analytic(frame: PolaritonFrame) -> Gamma2Breakdown:
     """Leading-order thermal decay rate with per-channel breakdown.
 
@@ -457,10 +464,7 @@ def gamma_thermal_analytic(frame: PolaritonFrame) -> Gamma2Breakdown:
     """
     p = frame.params
     d, g, u = p.delta, p.g, p.U
-    if abs(d - u) <= 1e-12 * max(abs(d), abs(u), 1.0):
-        raise ValueError(
-            "conversion resonance Delta = U: second-order channel formulas diverge"
-        )
+    _check_conversion_resonance(p, "second-order channel formulas")
     if max(p.nbar_c0, p.nbar_a0) > THERMAL_OCC_WARN:
         warnings.warn(
             f"bath occupancy above {THERMAL_OCC_WARN} is outside the "
@@ -565,7 +569,9 @@ def gamma_coherent_analytic(
     """Drive-dependent decay rate at zero temperature.
 
     Two conversion-channel effects enter: the drive-modified hybridization
-    shifts the dressed linewidth (kappa_a_tp - kappa_a_t), and the
+    shifts the dressed linewidth to that of the polariton frame at the
+    drive-shifted detuning Delta' = Delta - 2U|alpha_a|^2
+    (dframe.dressed.kappa_a_t - frame.kappa_a_t), and the
     conversion sideband removes -2 U^2 / (omega_a_t - omega_D - U)^2 *
     kappa * |alpha_a|^2.  Passing ``kappa_c_at_qubit`` (the cavity bath
     density at the qubit frequency) replaces the sideband's dressed
@@ -596,7 +602,7 @@ def gamma_coherent_analytic(
     if kappa_c_at_qubit is not None:
         kap_eff = (p.g**2 / p.delta**2) * kappa_c_at_qubit
     n_drive = abs(dframe.alpha_a) ** 2
-    hybridization = dframe.kappa_a_tp - frame.kappa_a_t
+    hybridization = dframe.dressed.kappa_a_t - frame.kappa_a_t
     sideband = -2.0 * p.U**2 / detune**2 * kap_eff * n_drive
     nc_nc = hybridization + sideband
     base = frame.kappa_a_t
@@ -654,10 +660,7 @@ def diagnostics(frame: PolaritonFrame) -> DiagnosticsReport:
     """
     p = frame.params
     d, g, u = p.delta, p.g, p.U
-    if abs(d - u) <= 1e-12 * max(abs(d), abs(u), 1.0):
-        raise ValueError(
-            "conversion resonance Delta = U: diagnostics denominators diverge"
-        )
+    _check_conversion_resonance(p, "diagnostics denominators")
     numerator = (
         (g**4 / d**4) * u**2 / (d - u) ** 2 * (p.kappa_c - p.kappa_a) ** 2 * frame.n_c_t
     )

@@ -29,7 +29,10 @@ from .fockspace import (
 )
 from .liouvillian import GeneratorBundle
 
-# Superoperator dimension up to which the dense eigensolver is preferred.
+# Dimension up to which the dense eigensolver is used.  The mode search
+# compares it to the dimension of the matrix it searches (the M = 0 block
+# when the generator keeps that block closed); `steady_state` compares it
+# to the full superoperator dimension.
 _DENSE_LIMIT = 1300
 # Relative eigenvalue spacing below which modes are treated as one
 # near-degenerate cluster during biorthonormalization.

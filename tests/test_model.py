@@ -159,9 +159,7 @@ class TestDisplacedFrame:
         dframe = displaced_frame(p, self.drive(0.0))
         frame = polariton_frame(p)
         assert dframe.alpha_c == 0 and dframe.alpha_a == 0
-        assert dframe.delta_prime == pytest.approx(p.delta)
-        assert dframe.kappa_a_tp == pytest.approx(frame.kappa_a_t, abs=1e-12)
-        assert dframe.gamma_down_p == pytest.approx(frame.gamma_down, abs=1e-12)
+        assert dframe.dressed == frame
 
     def test_displacement_ratio_reference_point(self):
         # exact 2x2 solve vs the leading-order ratio g^2/(omega_a - omega_D)^2
@@ -173,14 +171,14 @@ class TestDisplacedFrame:
 
     @pytest.mark.parametrize("sign", [+1.0, -1.0])
     def test_drive_dressed_rate_slope(self, sign):
-        # d(kappa_a_tp)/d|alpha_a|^2 -> (g^2/Delta^2)(4U/Delta)(kappa_c - kappa_a)
+        # d(dressed.kappa_a_t)/d|alpha_a|^2 -> (g^2/Delta^2)(4U/Delta)(kappa_c - kappa_a)
         p = make_params(omega_a=sign, U=0.1)
         expected = 0.01 * (0.4 / sign) * 0.01
         d0 = displaced_frame(p, DriveParams(0.0, -0.1))
         d1 = displaced_frame(p, DriveParams(0.03, -0.1))
         n1 = abs(d1.alpha_a) ** 2
         assert n1 > 0
-        slope = (d1.kappa_a_tp - d0.kappa_a_tp) / n1
+        slope = (d1.dressed.kappa_a_t - d0.dressed.kappa_a_t) / n1
         assert slope == pytest.approx(expected, rel=2e-3)
         assert np.sign(slope) == sign
 
@@ -188,10 +186,10 @@ class TestDisplacedFrame:
         p = make_params(U=0.05, kappa_a=0.001)
         frame = polariton_frame(p)
         dframe = displaced_frame(p, DriveParams(1e-8, -0.1))
-        assert abs(dframe.kappa_a_tp - frame.kappa_a_t) < 1e-12
-        assert abs(dframe.delta_prime - frame.delta) < 1e-12
-        assert abs(dframe.omega_a_tp - (frame.omega_a_t - (-0.1))) < 1e-12
-        assert abs(dframe.omega_c_tp - (frame.omega_c_t - (-0.1))) < 1e-12
+        assert abs(dframe.dressed.kappa_a_t - frame.kappa_a_t) < 1e-12
+        assert abs(dframe.dressed.delta - frame.delta) < 1e-12
+        assert abs(dframe.dressed.omega_a_t - frame.omega_a_t) < 1e-12
+        assert abs(dframe.dressed.omega_c_t - frame.omega_c_t) < 1e-12
 
     def test_near_singular_solve_rejected(self):
         p = make_params(kappa_c=0.0)
@@ -218,6 +216,11 @@ class TestDisplacedFrame:
             dframe = displaced_frame(p, drive)
         assert (complex(alpha_c), complex(alpha_a)) == (dframe.alpha_c, dframe.alpha_a)
         assert cond == dframe.condition_number
+
+    def test_thermal_bath_rejected(self):
+        p = make_params(U=0.1, nbar_a0=0.05)
+        with pytest.raises(ValueError, match="zero-temperature"):
+            displaced_frame(p, self.drive(0.05))
 
     def test_drive_coeff(self):
         p = make_params(U=0.1)

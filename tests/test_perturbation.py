@@ -474,9 +474,9 @@ class TestGammaCoherentAnalytic:
             gamma_coherent_analytic(dframe, frame)
 
     def test_thermal_input_rejected(self):
-        params = make_params(nbar_c0=0.05, **self.FIG_DRIVE)
-        frame = polariton_frame(params)
-        dframe = displaced_frame(params, DriveParams(f_c=0.02, omega_D=-0.1))
+        # the displaced frame is cold; the undriven frame handed in is thermal
+        _, _, dframe = self.drive_point(+1.0, 0.02)
+        frame = polariton_frame(make_params(nbar_c0=0.05, **self.FIG_DRIVE))
         with pytest.raises(ValueError, match="zero-temperature"):
             gamma_coherent_analytic(dframe, frame)
 
