@@ -374,7 +374,7 @@ def _build_point(
     elif config.comparison == "jc":
         bundle = build_jc(params, space)
         r = gamma_jc_analytic(params)
-        analytic = Gamma2Breakdown(base=r, nc_nc=0.0, nc_cd=0.0, cd_cd=0.0, total=r)
+        analytic = Gamma2Breakdown(base=r, nc_nc=0.0, nc_cd=0.0, cd_cd=0.0)
         regime = ()
     else:
         frame = polariton_frame(params)

@@ -145,11 +145,11 @@ def decoupled_block(
     return _term_sum(table, coeffs).toarray()
 
 
-def _edge_mask(dim: int, exclude: int = 2) -> np.ndarray:
-    """Vectorized-component mask keeping bra/ket occupations below dim-exclude."""
+def _edge_mask(dim: int) -> np.ndarray:
+    """Vectorized-component mask keeping bra/ket occupations below dim - 2."""
     idx = np.arange(dim * dim)
     row, col = idx % dim, idx // dim
-    return (row < dim - exclude) & (col < dim - exclude)
+    return (row < dim - 2) & (col < dim - 2)
 
 
 def _kerr_residual_bound(k: int, nbar: float, kappa: float) -> tuple[float, float]:
@@ -429,16 +429,12 @@ class Gamma2Breakdown:
     nc_nc: float
     nc_cd: float
     cd_cd: float
-    total: float
     meta: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        parts = self.base + self.nc_nc + self.nc_cd + self.cd_cd
-        if not np.isclose(self.total, parts, rtol=1e-12, atol=0.0):
-            raise ValueError(
-                f"total {self.total!r} must equal base + nc_nc + nc_cd + cd_cd "
-                f"= {parts!r}"
-            )
+    @property
+    def total(self) -> float:
+        """base + nc_nc + nc_cd + cd_cd, summed in that order."""
+        return self.base + self.nc_nc + self.nc_cd + self.cd_cd
 
 
 def _check_conversion_resonance(p: SystemParams, what: str) -> None:
@@ -506,7 +502,6 @@ def gamma_thermal_analytic(frame: PolaritonFrame) -> Gamma2Breakdown:
         nc_nc=nc_nc,
         nc_cd=nc_cd,
         cd_cd=0.0,
-        total=base + nc_nc + nc_cd,
         meta=meta,
     )
 
@@ -556,7 +551,6 @@ def gamma_thermal_pt(
         nc_nc=nc_nc,
         nc_cd=nc_cd,
         cd_cd=cd_cd,
-        total=base + nc_nc + nc_cd + cd_cd,
         meta=meta,
     )
 
@@ -618,7 +612,6 @@ def gamma_coherent_analytic(
         nc_nc=nc_nc,
         nc_cd=0.0,
         cd_cd=0.0,
-        total=base + nc_nc,
         meta=meta,
     )
 

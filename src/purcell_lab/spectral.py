@@ -124,13 +124,13 @@ def coherence_sectors(space: TruncatedSpace) -> np.ndarray:
     return occ[rows] - occ[cols]
 
 
-def _shift_invert(mat, sigma, attempts=3):
+def _shift_invert(mat, sigma):
     """``eigs(k, adjoint=False)``: shift-invert ARPACK near ``sigma``.
 
     One sparse LU of ``mat - sig I``, built as scipy builds its own, serves
     forward and adjoint calls (the adjoint at ``conj(sig)``).  A singular LU
     or an ARPACK failure nudges the shift off the real axis and factors
-    again; ``attempts`` failures in one call raise.
+    again; three failures in one call raise.
     """
     dim = mat.shape[0]
     v0 = np.ones(dim) / np.sqrt(dim)
@@ -138,7 +138,7 @@ def _shift_invert(mat, sigma, attempts=3):
 
     def eigs(k, adjoint=False):
         nonlocal sig, lu
-        for _ in range(attempts):
+        for _ in range(3):
             try:
                 if lu is None:
                     lu = spla.splu((mat - sig * sp.eye(dim)).tocsc())
@@ -159,8 +159,9 @@ def _shift_invert(mat, sigma, attempts=3):
 
 
 def _zero_mode_state(bundle: GeneratorBundle, lams, rights, idx=None) -> np.ndarray:
-    """`steady_state`'s checks on the zero mode among ``lams``; ``rights[i]``
-    is the right vector of ``lams[i]``, on the block ``idx`` when given."""
+    """`steady_state`'s checks on the zero mode among ``lams``; column
+    ``rights[:, i]`` is the right vector of ``lams[i]``, on the block ``idx``
+    when given."""
     scale = bundle.t1_rate_scale
     zero = np.abs(lams) < 1e-6 * scale
     if zero.sum() != 1:
@@ -168,9 +169,7 @@ def _zero_mode_state(bundle: GeneratorBundle, lams, rights, idx=None) -> np.ndar
         raise RuntimeError(
             f"{what}: {zero.sum()} eigenvalues within 1e-6 * {scale:.3e} of zero"
         )
-    vec = rights[np.argmax(zero)]
-    if idx is not None:
-        vec = _embed(vec, idx, bundle.superop.data.shape[0])
+    vec = _embed(rights[:, np.argmax(zero)], idx, bundle.superop.data.shape[0])
     rho = unvectorize(vec, bundle.space)
     rho = 0.5 * (rho + rho.conj().T)
     tr = np.trace(rho)
@@ -204,22 +203,25 @@ def steady_state(bundle: GeneratorBundle) -> np.ndarray:
     """
     data = bundle.superop.data
     if data.shape[0] > _DENSE_LIMIT:
-        return _t1_modes(bundle)[2]
+        return _t1_modes(bundle)[-1]
     w, v = np.linalg.eig(data.toarray())
-    return _zero_mode_state(bundle, w, v.T)
+    return _zero_mode_state(bundle, w, v)
 
 
-def _biorthonormalize(modes: list[SpectralMode], mag: float) -> None:
-    """In-place: unit-norm lefts, rights rescaled so <l_i, r_j> = delta_ij.
+def _biorthonormalize(lams, lefts, rights, mag: float) -> None:
+    """In place on the columns: unit-norm lefts, rights rescaled so
+    <l_i, r_j> = delta_ij.
 
     Near-degenerate eigenvalues (within _CLUSTER_RTOL * mag) are handled
     as a block via a pseudo-inverse of the cluster Gram matrix.
     """
-    for m in modes:
-        m.left = m.left / np.linalg.norm(m.left)
-    used = np.zeros(len(modes), dtype=bool)
-    lams = np.array([m.lam for m in modes])
-    for i in range(len(modes)):
+    # A defective generator's lefts can overflow the norm; the checks below
+    # raise, and the warning would be a sweep flag (errstate is context-local).
+    with np.errstate(over="ignore"):
+        for i in range(len(lams)):
+            lefts[:, i] /= np.linalg.norm(lefts[:, i])
+    used = np.zeros(len(lams), dtype=bool)
+    for i in range(len(lams)):
         if used[i]:
             continue
         cluster = np.flatnonzero(
@@ -227,32 +229,29 @@ def _biorthonormalize(modes: list[SpectralMode], mag: float) -> None:
         )
         used[cluster] = True
         if len(cluster) == 1:
-            m = modes[i]
-            ip = np.vdot(m.left, m.right)
+            ip = np.vdot(lefts[:, i], rights[:, i])
             if abs(ip) < 1e-12:
                 raise RuntimeError(
-                    f"defective eigenpair at lambda={m.lam:.6e}: left/right "
+                    f"defective eigenpair at lambda={lams[i]:.6e}: left/right "
                     "vectors are numerically orthogonal"
                 )
-            m.right = m.right / ip
+            rights[:, i] /= ip
         else:
-            lmat = np.column_stack([modes[j].left for j in cluster])
-            rmat = np.column_stack([modes[j].right for j in cluster])
+            lmat, rmat = lefts[:, cluster], rights[:, cluster]
             gram = lmat.conj().T @ rmat
             rmat = rmat @ np.linalg.pinv(gram, rcond=1e-12)
             if np.max(np.abs(lmat.conj().T @ rmat - np.eye(len(cluster)))) > 1e-9:
                 raise RuntimeError(
                     f"defective near-degenerate cluster at lambda={lams[i]:.6e}"
                 )
-            for col, j in enumerate(cluster):
-                modes[j].right = rmat[:, col]
+            rights[:, cluster] = rmat
 
 
-def _eigenmodes(
-    bundle: GeneratorBundle, lop, count: int | None
-) -> list[SpectralMode]:
+def _eigenmodes(bundle: GeneratorBundle, lop, count: int | None):
     """Slowest biorthonormalized eigenmodes of ``lop``, the generator of
-    ``bundle`` or a closed block of it (square CSR).
+    ``bundle`` or a closed block of it (square CSR), as the solver's arrays
+    ``(lams, lefts, rights)``: eigenvalues sorted by |Re lambda| ascending,
+    and column i of ``lefts`` and ``rights`` the vectors of ``lams[i]``.
 
     The body of `spectrum`, shared with `t1_rate_diag`'s sector solve.  The
     dense-or-sparse choice uses the dimension of ``lop``; tolerances and the
@@ -265,80 +264,69 @@ def _eigenmodes(
     if dim <= _DENSE_LIMIT:
         # scipy.linalg runs on the same bundled OpenBLAS copy as ARPACK, so
         # the mode search uses one copy on either path.
-        w, rights = sla.eig(lop.toarray())
+        w, vecs = sla.eig(lop.toarray())
         # The inverse goes through LAPACK directly: `sla.inv` warns on an
         # ill-conditioned eigenvector matrix, that warning would reach the
         # CSV flags with a BLAS-dependent rcond, and a warnings filter here
         # would change process-wide state from sweep worker threads.  The
         # residual and Gram checks below report defectiveness instead.
-        getrf, getrs = sla.get_lapack_funcs(("getrf", "getrs"), (rights,))
-        lu, piv, info = getrf(rights)
+        getrf, getrs = sla.get_lapack_funcs(("getrf", "getrs"), (vecs,))
+        lu, piv, info = getrf(vecs)
         if info == 0:
-            inv, info = getrs(lu, piv, np.eye(dim, dtype=rights.dtype))
+            inv, info = getrs(lu, piv, np.eye(dim, dtype=vecs.dtype))
         if info != 0:
             raise RuntimeError("singular eigenvector matrix; generator is defective")
-        lefts = inv.conj().T
-        order = np.argsort(np.abs(w.real), kind="stable")
-        if count is not None:
-            order = order[:count]
-        modes = [
-            SpectralMode(lam=w[i], right=rights[:, i].copy(), left=lefts[:, i].copy())
-            for i in order
-        ]
+        order = np.argsort(np.abs(w.real), kind="stable")[:count]
+        # the lefts are the conjugated rows of the inverse; the full-size
+        # arrays go before the checks, which keeps the peak memory down
+        lams, rights, lefts = w[order], vecs[:, order], inv[order].T
+        del vecs, lu, inv
+        np.conjugate(lefts, out=lefts)
     else:
-        if count is None:
-            count = SPARSE_COUNT
+        count = SPARSE_COUNT if count is None else count
         k = max(count + 4, 12)
         eigs = _shift_invert(lop.tocsc(), SPARSE_SHIFT * bundle.t1_rate_scale)
         # The forward and adjoint solver windows may disagree on which
         # eigenvalues sit at their outer edge; widen both until every kept
         # forward eigenvalue has its adjoint partner.
-        unmatched = None
         for _ in range(3):
             wr, vr = eigs(k)
             wl, vl = eigs(k, adjoint=True)
-            wl_as_right = np.conj(wl)
-            pairs = []
-            for i in np.argsort(np.abs(wr.real), kind="stable")[:count]:
-                j = int(np.argmin(np.abs(wl_as_right - wr[i])))
-                if abs(wl_as_right[j] - wr[i]) > 1e-8 * max(1.0, abs(wr[i])):
-                    unmatched = wr[i]
-                    pairs = None
-                    break
-                pairs.append((i, j))
-            if pairs is not None:
+            order = np.argsort(np.abs(wr.real), kind="stable")[:count]
+            lams = wr[order]
+            gap = np.abs(np.conj(wl)[None, :] - lams[:, None])
+            partner = np.argmin(gap, axis=1)
+            miss = gap.min(axis=1) > 1e-8 * np.maximum(1.0, np.abs(lams))
+            if not miss.any():
                 break
             k = min(2 * k, dim - 2)  # scipy needs k < dim - 1
         else:
             raise RuntimeError(
-                f"no adjoint eigenvalue matches lambda={unmatched:.6e} even "
-                "after widening the solver window; move the shift"
+                f"no adjoint eigenvalue matches lambda={lams[np.argmax(miss)]:.6e} "
+                "even after widening the solver window; move the shift"
             )
-        modes = [
-            SpectralMode(lam=wr[i], right=vr[:, i].copy(), left=vl[:, j].copy())
-            for i, j in pairs
-        ]
+        rights, lefts = vr[:, order], vl[:, partner]
 
     # defectiveness / convergence check on the raw (unit-norm-ish) vectors
-    for m in modes:
-        res = np.linalg.norm(lop @ m.right - m.lam * m.right)
-        if res > 1e-8 * mag * np.linalg.norm(m.right):
-            raise RuntimeError(
-                f"eigenpair residual {res:.3e} at lambda={m.lam:.6e}; "
-                "generator may be defective or the solver did not converge"
-            )
+    res = lop @ rights
+    res -= rights * lams
+    res = np.linalg.norm(res, axis=0)
+    bad = res > 1e-8 * mag * np.linalg.norm(rights, axis=0)
+    if bad.any():
+        i = np.argmax(bad)
+        raise RuntimeError(
+            f"eigenpair residual {res[i]:.3e} at lambda={lams[i]:.6e}; "
+            "generator may be defective or the solver did not converge"
+        )
 
-    _biorthonormalize(modes, mag)
-    check = modes if len(modes) <= 300 else modes[:50]
-    lmat = np.column_stack([m.left for m in check])
-    rmat = np.column_stack([m.right for m in check])
-    gram = lmat.conj().T @ rmat
-    lams = np.array([m.lam for m in check])
-    distinct = np.abs(lams[:, None] - lams[None, :]) >= _CLUSTER_RTOL * mag
+    _biorthonormalize(lams, lefts, rights, mag)
+    n = len(lams) if len(lams) <= 300 else 50
+    gram = lefts[:, :n].conj().T @ rights[:, :n]
+    distinct = np.abs(lams[:n, None] - lams[None, :n]) >= _CLUSTER_RTOL * mag
     gram[distinct] = 0.0  # cross terms between distinct eigenvalues are exact zeros in theory
-    if np.max(np.abs(gram - np.eye(len(check)))) > 1e-9:
+    if np.max(np.abs(gram - np.eye(n))) > 1e-9:
         raise RuntimeError("biorthonormalization failed beyond 1e-9")
-    return modes
+    return lams, lefts, rights
 
 
 def spectrum(
@@ -351,8 +339,13 @@ def spectrum(
     ones go through shift-invert ARPACK at ``SPARSE_SHIFT *
     bundle.t1_rate_scale``.  ``count`` is the number of modes to return
     (None = all computed; the sparse path defaults to ``SPARSE_COUNT``).
+    Each mode wraps one column of the solver's arrays.
     """
-    return _eigenmodes(bundle, bundle.superop.data, count)
+    lams, lefts, rights = _eigenmodes(bundle, bundle.superop.data, count)
+    return [
+        SpectralMode(lam=lam, right=rights[:, i], left=lefts[:, i])
+        for i, lam in enumerate(lams)
+    ]
 
 
 def block_labels(
@@ -397,16 +390,20 @@ def _injected_excitation(bundle: GeneratorBundle, rho_ss: np.ndarray) -> np.ndar
     return rho0 / tr
 
 
-def _embed(vec: np.ndarray, idx: np.ndarray, dim: int) -> np.ndarray:
+def _embed(vec: np.ndarray, idx: np.ndarray | None, dim: int) -> np.ndarray:
+    """Full-length copy of ``vec``, a vector on the block ``idx`` if given."""
+    if idx is None:
+        return vec.copy()
     full = np.zeros(dim, dtype=vec.dtype)
     full[idx] = vec
     return full
 
 
 def _t1_modes(bundle: GeneratorBundle):
-    """`t1_rate_diag`'s modes, the indices of the M = 0 block they are
-    restricted to (None when the generator joins it to the rest; M is the
-    ket's excitation number minus the bra's) and the steady state.  Bare,
+    """`t1_rate_diag`'s modes as `_eigenmodes`' arrays ``lams, lefts,
+    rights``, then the indices of the M = 0 block they are restricted to
+    (None when the generator joins it to the rest; M is the ket's
+    excitation number minus the bra's) and the steady state.  Bare,
     blackbox and jc generators conserve excitation number, so the steady
     state, the injected excitation and every population mode live there.
     """
@@ -416,11 +413,12 @@ def _t1_modes(bundle: GeneratorBundle):
     if not np.any(population[coo.row] != population[coo.col]):
         idx = np.flatnonzero(population)
         lop = lop[idx][:, idx]
-    modes = _eigenmodes(bundle, lop, None)
+    lams, lefts, rights = _eigenmodes(bundle, lop, None)
     if bundle.superop.data.shape[0] <= _DENSE_LIMIT:
-        return modes, idx, steady_state(bundle)
-    lams = np.array([m.lam for m in modes])
-    return modes, idx, _zero_mode_state(bundle, lams, [m.right for m in modes], idx)
+        rho_ss = steady_state(bundle)
+    else:
+        rho_ss = _zero_mode_state(bundle, lams, rights, idx)
+    return lams, lefts, rights, idx, rho_ss
 
 
 def t1_rate_diag(bundle: GeneratorBundle) -> T1DiagResult:
@@ -429,37 +427,34 @@ def t1_rate_diag(bundle: GeneratorBundle) -> T1DiagResult:
     Searches the modes `spectrum` would give, restricted to the population
     (M = 0) block when the generator leaves it closed, injects one qubit
     excitation on the steady state (``rho_ss``: a full dense ``eig`` up to
-    ``_DENSE_LIMIT``, above it this search's zero mode), computes mode
-    weights w = <l, rho0>, and selects the excited mode by two criteria
-    (slowest decaying above ``WEIGHT_FLOOR``; largest weight).  Their
-    disagreement is flagged in the result and as a warning.  The returned
-    modes are full-length.
+    ``_DENSE_LIMIT``, above it this search's zero mode), computes every mode
+    weight w = <l, rho0> from the lefts' columns at once, and selects the
+    excited mode by two criteria (slowest decaying above ``WEIGHT_FLOOR``;
+    largest weight).  Their disagreement is flagged in the result and as a
+    warning.  Only the selected modes become `SpectralMode` objects; their
+    vectors are full-length copies.
     """
-    modes, idx, rho_ss = _t1_modes(bundle)
+    lams, lefts, rights, idx, rho_ss = _t1_modes(bundle)
     v0 = vectorize(_injected_excitation(bundle, rho_ss))
-    scale = bundle.t1_rate_scale
     if idx is not None:
         v0 = v0[idx]
-    excited = []
-    for m in modes:
-        m.weight = complex(np.vdot(m.left, v0))
-        if abs(m.lam) > 1e-6 * scale:
-            excited.append(m)
-    candidates = [m for m in excited if abs(m.weight) > WEIGHT_FLOOR]
-    if not candidates:
+    weights = lefts.conj().T @ v0
+    excited = np.abs(lams) > 1e-6 * bundle.t1_rate_scale
+    candidates = np.flatnonzero(excited & (np.abs(weights) > WEIGHT_FLOOR))
+    if not candidates.size:
         raise RuntimeError(
             f"no excited eigenmode carries weight above {WEIGHT_FLOOR:.1e}"
         )
-    slowest = min(candidates, key=lambda m: abs(m.lam.real))
-    heaviest = max(excited, key=lambda m: abs(m.weight))
-    if idx is not None:
-        dim = bundle.superop.data.shape[0]
-        # both criteria may pick the same mode; embed it once
-        for m in {id(slowest): slowest, id(heaviest): heaviest}.values():
-            m.right = _embed(m.right, idx, dim)
-            m.left = _embed(m.left, idx, dim)
-    gamma = -slowest.lam.real
-    gamma_w = -heaviest.lam.real
+    slowest = candidates[0]  # the modes are sorted by |Re lambda|
+    heaviest = np.argmax(np.where(excited, np.abs(weights), -1.0))
+    dim = bundle.superop.data.shape[0]
+    picked = {  # both criteria may pick the same mode; wrap it once
+        i: SpectralMode(lams[i], _embed(rights[:, i], idx, dim),
+                        _embed(lefts[:, i], idx, dim), weight=complex(weights[i]))
+        for i in {slowest, heaviest}
+    }
+    gamma = -lams[slowest].real
+    gamma_w = -lams[heaviest].real
     agree = bool(np.isclose(gamma, gamma_w, rtol=1e-9, atol=1e-15))
     if not agree:
         warnings.warn(
@@ -468,9 +463,9 @@ def t1_rate_diag(bundle: GeneratorBundle) -> T1DiagResult:
         )
     return T1DiagResult(
         gamma=gamma,
-        mode=slowest,
+        mode=picked[slowest],
         gamma_by_weight=gamma_w,
-        mode_by_weight=heaviest,
+        mode_by_weight=picked[heaviest],
         agree=agree,
         rho_ss=rho_ss,
     )

@@ -22,7 +22,6 @@ from purcell_lab.liouvillian import (
 from purcell_lab.model import DriveParams, SystemParams, displaced_frame, polariton_frame
 from purcell_lab.perturbation import (
     DiagnosticsReport,
-    Gamma2Breakdown,
     RateReport,
     UnperturbedModeSet,
     _coherence_left,
@@ -412,10 +411,6 @@ class TestGammaThermalAnalytic:
         frame = polariton_frame(params)
         with pytest.raises(ValueError, match="resonance"):
             gamma_thermal_analytic(frame)
-
-    def test_breakdown_total_invariant(self):
-        with pytest.raises(ValueError, match="total"):
-            Gamma2Breakdown(base=1.0, nc_nc=0.1, nc_cd=0.0, cd_cd=0.0, total=1.2)
 
 
 class TestGammaCoherentAnalytic:

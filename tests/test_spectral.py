@@ -198,12 +198,50 @@ class TestSpectrum:
         m = sp.lil_matrix((16, 16), dtype=complex)
         m[0, 1] = 1.0  # Jordan block; not diagonalizable
         bundle = manual_bundle(Superoperator(space, m.tocsr()))
-        # no conditioning warning either: it would become a CSV flag whose
-        # rcond digits depend on the BLAS
+        # no conditioning or overflow warning either: it would become a CSV
+        # flag, and the rcond digits depend on the BLAS
         with warnings.catch_warnings():
             warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
+            warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(RuntimeError, match="defective"):
                 spectrum(bundle)
+
+    def test_degenerate_clusters_are_biorthonormalized(self, monkeypatch):
+        # with the interaction terms off the dressed modes decouple, and equal
+        # linewidths make their decay ladders coincide in pairs
+        pinv, clusters = np.linalg.pinv, []
+
+        def counted_pinv(a, **kwargs):
+            clusters.append(a.shape[0])
+            return pinv(a, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "pinv", counted_pinv)
+        bundle = blackbox((4, 3), ALL_OFF, U=0.05, kappa_a=0.01, kappa_c=0.01)
+        modes = spectrum(bundle)
+        assert clusters.count(2) >= 2
+        lmat = np.array([m.left for m in modes]).T
+        rmat = np.array([m.right for m in modes]).T
+        assert np.max(np.abs(lmat.conj().T @ rmat - np.eye(len(modes)))) < 1e-9
+        assert t1_rate_diag(bundle).gamma == pytest.approx(0.01, rel=1e-12)
+
+    def test_eigenpair_residual_detected(self, monkeypatch):
+        # the perturbed rights are no eigenvectors; the error names the first
+        # failing mode in |Re lambda| order
+        eig, named = scipy.linalg.eig, []
+
+        def perturbed_eig(a):
+            w, v = eig(a)
+            order = np.argsort(np.abs(w.real), kind="stable")
+            rng = np.random.default_rng(0)
+            for i in order[[2, 5]]:
+                v[:, i] += 1e-3 * rng.standard_normal(len(w))
+            named.append(w[order[2]])
+            return w, v
+
+        monkeypatch.setattr(scipy.linalg, "eig", perturbed_eig)
+        with pytest.raises(RuntimeError, match="eigenpair residual") as err:
+            spectrum(blackbox((3, 2), nbar_c0=0.1))
+        assert f"lambda={named[0]:.6e}" in str(err.value)
 
     def test_singular_eigenvector_matrix_detected(self, monkeypatch):
         def singular_eig(a):
@@ -296,6 +334,30 @@ class TestShiftInvert:
         ks = [kwargs["k"] for kwargs in solver_calls["eigs"]]
         assert ks == [ks[0]] * 2 + [2 * ks[0]] * 2
         self.assert_matches_dense(sparse, bundle)
+
+    def test_unmatched_adjoint_raises_after_three_rounds(
+        self, solver_calls, monkeypatch
+    ):
+        eigs = purcell_lab.spectral.spla.eigs
+        forward = []
+
+        def every_adjoint_misses(a, **kwargs):
+            w, v = eigs(a, **kwargs)
+            if len(solver_calls["eigs"]) % 2 == 0:
+                w = w + 1.0
+            else:
+                forward.append(w)
+            return w, v
+
+        monkeypatch.setattr(purcell_lab.spectral.spla, "eigs", every_adjoint_misses)
+        with pytest.raises(RuntimeError, match="no adjoint eigenvalue matches") as err:
+            spectrum(driven_bundle(), count=8)
+        ks = [kwargs["k"] for kwargs in solver_calls["eigs"]]
+        assert ks == [ks[0]] * 2 + [2 * ks[0]] * 2 + [4 * ks[0]] * 2
+        # the message names the slowest forward eigenvalue of the last round
+        last = forward[-1]
+        named = last[np.argmin(np.abs(last.real))]
+        assert f"lambda={named:.6e}" in str(err.value)
 
     def test_steady_state_factors_once(self, solver_calls):
         bundle = driven_bundle()
@@ -563,15 +625,15 @@ class TestPopulationSector:
     def test_builders_give_the_population_indices(self):
         for name, bundle in sector_bundles().items():
             want = np.flatnonzero(coherence_sectors(bundle.space).sum(1) == 0)
-            assert np.array_equal(_t1_modes(bundle)[1], want), name
+            assert np.array_equal(_t1_modes(bundle)[3], want), name
 
     def test_driven_displaced_block_is_open(self):
         params = make_params(U=0.1)
         space = TruncatedSpace((4, 4))
         driven = displaced_frame(params, DriveParams(0.05, -0.1))
-        assert _t1_modes(build_displaced(driven, params, space))[1] is None
+        assert _t1_modes(build_displaced(driven, params, space))[3] is None
         undriven = displaced_frame(params, DriveParams(0.0, -0.1))
-        assert _t1_modes(build_displaced(undriven, params, space))[1] is not None
+        assert _t1_modes(build_displaced(undriven, params, space))[3] is not None
 
     def test_diag_diagonalizes_only_the_block(self, monkeypatch):
         bundle = blackbox((6, 5), nbar_c0=0.05)
