@@ -5,9 +5,10 @@ Both rate protocols start from the steady state with one extra qubit
 excitation injected (``rho0 ~ a_dag rho_ss a``): `t1_rate_diag` reads the
 rate off the slowest excited eigenmode, `t1_rate_fit` fits the tail of a
 time evolution.  Agreement between the two is itself a physics check, so
-they share as little code as possible.  The steady state is a full dense
-``eig`` up to ``_DENSE_LIMIT``, above it the zero mode of `t1_rate_diag`'s
-own mode search.
+they share as little code as possible.  One rule picks the solvers: up to
+``_DENSE_LIMIT`` (the superoperator dimension) the steady state is a full
+dense ``eig`` and the mode search a dense ``eig`` too; above it the mode
+search is shift-invert ARPACK and its zero mode is the steady state.
 """
 
 from __future__ import annotations
@@ -29,10 +30,9 @@ from .fockspace import (
 )
 from .liouvillian import GeneratorBundle
 
-# Dimension up to which the dense eigensolver is used.  The mode search
-# compares it to the dimension of the matrix it searches (the M = 0 block
-# when the generator keeps that block closed); `steady_state` compares it
-# to the full superoperator dimension.
+# Superoperator dimension up to which the dense eigensolvers are used, for
+# the steady state and for the mode search (also when that search runs on
+# the closed M = 0 block); above it the search is shift-invert ARPACK.
 _DENSE_LIMIT = 1300
 # Relative eigenvalue spacing below which modes are treated as one
 # near-degenerate cluster during biorthonormalization.
@@ -95,9 +95,10 @@ class FitResult:
 class T1DiagResult:
     """Eigenmode-protocol rate under both selection criteria.
 
-    gamma/mode come from the slowest decaying excited mode with weight
-    above the floor; gamma_by_weight/mode_by_weight from the excited mode
-    with the largest weight.  agree is False when the two disagree.
+    Both criteria choose among excited population (M = 0) modes.
+    gamma/mode come from the slowest decaying one with weight above the
+    floor; gamma_by_weight/mode_by_weight from the one with the largest
+    weight.  agree is False when the two disagree.
     rho_ss is the steady state the excitation was injected on.
     """
 
@@ -254,14 +255,15 @@ def _eigenmodes(bundle: GeneratorBundle, lop, count: int | None):
     and column i of ``lefts`` and ``rights`` the vectors of ``lams[i]``.
 
     The body of `spectrum`, shared with `t1_rate_diag`'s sector solve.  The
-    dense-or-sparse choice uses the dimension of ``lop``; tolerances and the
-    sparse shift come from the full generator, so a block is checked as
-    strictly as the whole.  The sparse path factors ``lop - sigma I`` once
-    for the forward and adjoint solves and every widening round.
+    full generator decides everything but the matrix searched: its
+    dimension picks dense or sparse, as in `steady_state`, and tolerances
+    and the sparse shift come from it, so a block is checked as strictly as
+    the whole.  The sparse path factors ``lop - sigma I`` once for the
+    forward and adjoint solves and every widening round.
     """
     dim = lop.shape[0]
     mag = bundle.superop.max_abs()
-    if dim <= _DENSE_LIMIT:
+    if bundle.superop.data.shape[0] <= _DENSE_LIMIT:
         # scipy.linalg runs on the same bundled OpenBLAS copy as ARPACK, so
         # the mode search uses one copy on either path.
         w, vecs = sla.eig(lop.toarray())
@@ -337,7 +339,8 @@ def spectrum(
 
     Superoperators up to ``_DENSE_LIMIT`` are diagonalized in full; larger
     ones go through shift-invert ARPACK at ``SPARSE_SHIFT *
-    bundle.t1_rate_scale``.  ``count`` is the number of modes to return
+    bundle.t1_rate_scale``, the rule `steady_state` and `t1_rate_diag`
+    share.  ``count`` is the number of modes to return
     (None = all computed; the sparse path defaults to ``SPARSE_COUNT``).
     Each mode wraps one column of the solver's arrays.
     """
@@ -400,12 +403,16 @@ def _embed(vec: np.ndarray, idx: np.ndarray | None, dim: int) -> np.ndarray:
 
 
 def _t1_modes(bundle: GeneratorBundle):
-    """`t1_rate_diag`'s modes as `_eigenmodes`' arrays ``lams, lefts,
-    rights``, then the indices of the M = 0 block they are restricted to
-    (None when the generator joins it to the rest; M is the ket's
-    excitation number minus the bra's) and the steady state.  Bare,
+    """`t1_rate_diag`'s candidate modes as `_eigenmodes`' arrays ``lams,
+    lefts, rights``, then the indices of the M = 0 block they are
+    restricted to (None when the generator joins it to the rest; M is the
+    ket's excitation number minus the bra's) and the steady state.  Bare,
     blackbox and jc generators conserve excitation number, so the steady
     state, the injected excitation and every population mode live there.
+    On an open block only the population modes are kept: those whose right
+    vector holds at least ``SUPPORT_FRACTION`` of its weight in M = 0.  A
+    driven steady state carries coherences, so the qubit coherence modes
+    take some of the injected weight, and the dense search would see them.
     """
     lop, idx = bundle.superop.data, None
     population = coherence_sectors(bundle.space).sum(1) == 0
@@ -418,6 +425,10 @@ def _t1_modes(bundle: GeneratorBundle):
         rho_ss = steady_state(bundle)
     else:
         rho_ss = _zero_mode_state(bundle, lams, rights, idx)
+    if idx is None:
+        p = np.abs(rights) ** 2
+        keep = p[population].sum(0) >= SUPPORT_FRACTION * p.sum(0)
+        lams, lefts, rights = lams[keep], lefts[:, keep], rights[:, keep]
     return lams, lefts, rights, idx, rho_ss
 
 
@@ -425,14 +436,18 @@ def t1_rate_diag(bundle: GeneratorBundle) -> T1DiagResult:
     """Eigenmode readout of the slow qubit relaxation rate.
 
     Searches the modes `spectrum` would give, restricted to the population
-    (M = 0) block when the generator leaves it closed, injects one qubit
-    excitation on the steady state (``rho_ss``: a full dense ``eig`` up to
-    ``_DENSE_LIMIT``, above it this search's zero mode), computes every mode
-    weight w = <l, rho0> from the lefts' columns at once, and selects the
-    excited mode by two criteria (slowest decaying above ``WEIGHT_FLOOR``;
-    largest weight).  Their disagreement is flagged in the result and as a
-    warning.  Only the selected modes become `SpectralMode` objects; their
-    vectors are full-length copies.
+    (M = 0) block when the generator leaves it closed: a dense ``eig`` up
+    to ``_DENSE_LIMIT`` (the full superoperator dimension, whatever the
+    block's), above it shift-invert ARPACK.  Injects one qubit excitation
+    on the steady state (``rho_ss``: a full dense ``eig`` up to the limit,
+    above it this search's zero mode), computes every mode weight
+    w = <l, rho0> from the lefts' columns at once, and selects among the
+    excited population modes (all of a closed block's; on an open block
+    those with ``SUPPORT_FRACTION`` of their weight in M = 0) by two
+    criteria (slowest decaying above ``WEIGHT_FLOOR``; largest weight).
+    Their disagreement is flagged in the result and as a warning.  Only
+    the selected modes become `SpectralMode` objects; their vectors are
+    full-length copies.
     """
     lams, lefts, rights, idx, rho_ss = _t1_modes(bundle)
     v0 = vectorize(_injected_excitation(bundle, rho_ss))
@@ -443,7 +458,7 @@ def t1_rate_diag(bundle: GeneratorBundle) -> T1DiagResult:
     candidates = np.flatnonzero(excited & (np.abs(weights) > WEIGHT_FLOOR))
     if not candidates.size:
         raise RuntimeError(
-            f"no excited eigenmode carries weight above {WEIGHT_FLOOR:.1e}"
+            f"no excited population mode carries weight above {WEIGHT_FLOOR:.1e}"
         )
     slowest = candidates[0]  # the modes are sorted by |Re lambda|
     heaviest = np.argmax(np.where(excited, np.abs(weights), -1.0))

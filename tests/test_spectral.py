@@ -106,7 +106,7 @@ class TestSteadyState:
     def test_qubit_population_matches_dressed_occupancy(self):
         # deviation is O(g^2 U / Delta^3) = 1e-4 at these parameters;
         # superop dim 2304 is above the dense limit, so the state is the zero
-        # mode of the population block's dense eig (block dim 218)
+        # mode of the population block's shift-invert search (block dim 218)
         bundle = blackbox((8, 6), nbar_c0=0.1)
         rho = steady_state(bundle)
         n_a = ladder_operators(bundle.space, 1)[2].toarray()
@@ -252,6 +252,11 @@ class TestSpectrum:
             spectrum(blackbox((2, 2)))
 
 
+def drive_sweep_point(photons, dims):
+    config = config_from_dict(json.loads((CONFIGS / "drive_sweep.json").read_text()))
+    return _build_point(config, photons, dims)[0]
+
+
 def driven_bundle():
     # the drive opens the population block, so `spectrum` and `t1_rate_diag`
     # both solve the full dim-256 generator; the tests ask for the 8 modes
@@ -374,12 +379,21 @@ class TestShiftInvert:
         forward, adjoint = solver_calls["eigs"]
         assert adjoint["sigma"] == np.conj(forward["sigma"])
 
-    def test_blackbox_diag_factors_nothing(self, solver_calls, monkeypatch):
-        # dim 2304 is above the dense limit but its population block (218)
-        # is not: the block's dense eig holds the zero mode
+    @pytest.mark.parametrize("dims,block", [((8, 6), 218), ((6, 5), None)])
+    def test_blackbox_diag_factors_by_the_full_dimension(
+        self, solver_calls, monkeypatch, dims, block
+    ):
+        # the limit is compared to the superoperator dimension, not the
+        # block's: dim 2304 factors its 218-component population block once
+        # for the forward and the adjoint solve, dim 900 factors nothing
         monkeypatch.setattr(purcell_lab.spectral, "_DENSE_LIMIT", DENSE_LIMIT)
-        t1_rate_diag(blackbox((8, 6), nbar_c0=0.15))
-        assert solver_calls["splu"] == [] and solver_calls["eigs"] == []
+        t1_rate_diag(blackbox(dims, nbar_c0=0.15))
+        if block is None:
+            assert solver_calls["splu"] == [] and solver_calls["eigs"] == []
+        else:
+            assert [lu.shape for lu in solver_calls["splu"]] == [(block, block)]
+            forward, adjoint = solver_calls["eigs"]
+            assert adjoint["sigma"] == np.conj(forward["sigma"])
 
     def test_failed_factorization_moves_the_shift(self, solver_calls):
         solver_calls["fail"] = 1
@@ -484,8 +498,8 @@ class TestT1RateDiag:
     )
     def test_returns_the_steady_state(self, monkeypatch, dims, dense_limit):
         # dim 144 by a full dense eig; above the limit the zero mode of the
-        # mode search: dim 144 by block ARPACK, dim 2304 by the block's dense
-        # eig, and the driven dim-256 generator by the full shift-invert window
+        # mode search: dims 144 and 2304 by block ARPACK, and the driven
+        # dim-256 generator by the full shift-invert window
         if dense_limit is not None:
             monkeypatch.setattr(purcell_lab.spectral, "_DENSE_LIMIT", dense_limit)
         if dims == "driven":
@@ -501,10 +515,7 @@ class TestT1RateDiag:
     def test_steady_state_matches_shift_invert_reference(self, case):
         # both superoperators are dim 2304, above the dense limit
         if case.startswith("driven"):
-            config = config_from_dict(
-                json.loads((CONFIGS / "drive_sweep.json").read_text())
-            )
-            bundle = _build_point(config, 10.0, (8, 6))[0]
+            bundle = drive_sweep_point(10.0, (8, 6))
         else:
             bundle = blackbox((8, 6), nbar_c0=0.15)
         rho = t1_rate_diag(bundle).rho_ss
@@ -565,6 +576,46 @@ class TestSteadyStateFromModes:
         residual = np.linalg.norm(bundle.superop.data @ vectorize(rho))
         assert residual <= 1e-10 * bundle.superop.max_abs()
         assert np.max(np.abs(rho - dense)) <= 1e-9
+
+
+def diag_on_both_paths(bundle):
+    """`t1_rate_diag` at the dense limit and with every search sparse."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a criteria disagreement is compared below
+        dense = t1_rate_diag(bundle)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(purcell_lab.spectral, "_DENSE_LIMIT", 0)
+            sparse = t1_rate_diag(bundle)
+    return dense, sparse
+
+
+class TestPathIndependence:
+    """The rate and `agree` do not depend on which eigensolver path ran."""
+
+    @settings(max_examples=20)
+    @given(small_generators())
+    def test_diag_matches_across_paths(self, bundle):
+        dense, sparse = diag_on_both_paths(bundle)
+        assert sparse.gamma == pytest.approx(dense.gamma, rel=1e-9)
+        assert sparse.gamma_by_weight == pytest.approx(dense.gamma_by_weight, rel=1e-9)
+        assert sparse.agree == dense.agree
+
+    @pytest.mark.parametrize("photons", [2.0, 10.0])
+    @pytest.mark.parametrize("dims", [(4, 4), (5, 5), (6, 5)])
+    def test_driven_drive_sweep_points(self, dims, photons):
+        # the driven steady state carries coherences, so the qubit coherence
+        # modes (Im lambda ~ +-1.1, decaying at Gamma_1 / 2) take some of the
+        # injected weight; the dense search sees them and the sparse window
+        # does not, and only population modes may be picked
+        dense, sparse = diag_on_both_paths(drive_sweep_point(photons, dims))
+        assert dense.gamma == pytest.approx(sparse.gamma, rel=1e-9)
+        assert dense.agree and sparse.agree
+
+    def test_driven_fit_matches_diag(self):
+        bundle = drive_sweep_point(10.0, (5, 5))
+        diag = t1_rate_diag(bundle)
+        fit = t1_rate_fit(bundle, diag.rho_ss)
+        assert fit.gamma == pytest.approx(diag.gamma, rel=1e-2)
 
 
 def reference_diag(bundle, rho_ss):
