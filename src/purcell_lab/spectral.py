@@ -6,9 +6,16 @@ excitation injected (``rho0 ~ a_dag rho_ss a``): `t1_rate_diag` reads the
 rate off the slowest excited eigenmode, `t1_rate_fit` fits the tail of a
 time evolution.  Agreement between the two is itself a physics check, so
 they share as little code as possible.  One rule picks the solvers: up to
-``_DENSE_LIMIT`` (the superoperator dimension) the steady state is a full
-dense ``eig`` and the mode search a dense ``eig`` too; above it the mode
-search is shift-invert ARPACK and its zero mode is the steady state.
+``_DENSE_LIMIT`` (the superoperator dimension) the mode search is a dense
+``eig``, and the steady state is `steady_state`'s own full dense ``eig``
+unless the search already decomposed the full generator (a driven point,
+whose population block is open): then its zero mode is the steady state,
+so each driven point is decomposed once.  Above the limit the mode search
+is shift-invert ARPACK and its zero mode is the steady state.
+`t1_rate_diag`'s search starts from a 6-mode window and widens it only
+when the window cannot answer the selection: no adjoint partner, no zero
+mode, or no excited population mode above ``WEIGHT_FLOOR``.  `spectrum`
+keeps a ``max(count + 4, 12)`` window, since it also returns T2 modes.
 """
 
 from __future__ import annotations
@@ -159,6 +166,10 @@ def _shift_invert(mat, sigma):
     return eigs
 
 
+class _NarrowWindow(RuntimeError):
+    """The mode search's window cannot answer its caller; a wider one may."""
+
+
 def _zero_mode_state(bundle: GeneratorBundle, lams, rights, idx=None) -> np.ndarray:
     """`steady_state`'s checks on the zero mode among ``lams``; column
     ``rights[:, i]`` is the right vector of ``lams[i]``, on the block ``idx``
@@ -166,8 +177,11 @@ def _zero_mode_state(bundle: GeneratorBundle, lams, rights, idx=None) -> np.ndar
     scale = bundle.t1_rate_scale
     zero = np.abs(lams) < 1e-6 * scale
     if zero.sum() != 1:
-        what = "degenerate steady space" if zero.any() else "no zero mode in the window"
-        raise RuntimeError(
+        error, what = (
+            (RuntimeError, "degenerate steady space") if zero.any()
+            else (_NarrowWindow, "no zero mode in the window")
+        )
+        raise error(
             f"{what}: {zero.sum()} eigenvalues within 1e-6 * {scale:.3e} of zero"
         )
     vec = _embed(rights[:, np.argmax(zero)], idx, bundle.superop.data.shape[0])
@@ -248,18 +262,52 @@ def _biorthonormalize(lams, lefts, rights, mag: float) -> None:
             rights[:, cluster] = rmat
 
 
-def _eigenmodes(bundle: GeneratorBundle, lop, count: int | None):
+def _checked_modes(lop, lams, lefts, rights, mag: float):
+    """``(lams, lefts, rights)`` after the residual check on the raw
+    vectors, biorthonormalized, and after the Gram check."""
+    # defectiveness / convergence check on the raw (unit-norm-ish) vectors
+    res = lop @ rights
+    res -= rights * lams
+    res = np.linalg.norm(res, axis=0)
+    bad = res > 1e-8 * mag * np.linalg.norm(rights, axis=0)
+    if bad.any():
+        i = np.argmax(bad)
+        raise RuntimeError(
+            f"eigenpair residual {res[i]:.3e} at lambda={lams[i]:.6e}; "
+            "generator may be defective or the solver did not converge"
+        )
+
+    _biorthonormalize(lams, lefts, rights, mag)
+    n = len(lams) if len(lams) <= 300 else 50
+    gram = lefts[:, :n].conj().T @ rights[:, :n]
+    distinct = np.abs(lams[:n, None] - lams[None, :n]) >= _CLUSTER_RTOL * mag
+    gram[distinct] = 0.0  # cross terms between distinct eigenvalues are exact zeros in theory
+    if np.max(np.abs(gram - np.eye(n))) > 1e-9:
+        raise RuntimeError("biorthonormalization failed beyond 1e-9")
+    return lams, lefts, rights
+
+
+def _eigenmodes(
+    bundle: GeneratorBundle, lop, count: int | None, k: int | None = None,
+    select=lambda *modes: modes,
+):
     """Slowest biorthonormalized eigenmodes of ``lop``, the generator of
     ``bundle`` or a closed block of it (square CSR), as the solver's arrays
     ``(lams, lefts, rights)``: eigenvalues sorted by |Re lambda| ascending,
     and column i of ``lefts`` and ``rights`` the vectors of ``lams[i]``.
+    ``select`` turns those arrays into the result returned (by default it
+    returns them as they are).
 
     The body of `spectrum`, shared with `t1_rate_diag`'s sector solve.  The
     full generator decides everything but the matrix searched: its
     dimension picks dense or sparse, as in `steady_state`, and tolerances
     and the sparse shift come from it, so a block is checked as strictly as
-    the whole.  The sparse path factors ``lop - sigma I`` once for the
-    forward and adjoint solves and every widening round.
+    the whole.  The sparse path asks ARPACK for ``k`` modes (default
+    ``max(count + 4, 12)``) and keeps the ``count`` slowest.  It doubles
+    ``k`` (up to ``dim - 2``) for at most two more rounds while a kept
+    forward eigenvalue has no adjoint partner or ``select`` raises
+    `_NarrowWindow`, and factors ``lop - sigma I`` once for the forward and
+    adjoint solves of every round.
     """
     dim = lop.shape[0]
     mag = bundle.superop.max_abs()
@@ -284,51 +332,35 @@ def _eigenmodes(bundle: GeneratorBundle, lop, count: int | None):
         lams, rights, lefts = w[order], vecs[:, order], inv[order].T
         del vecs, lu, inv
         np.conjugate(lefts, out=lefts)
-    else:
-        count = SPARSE_COUNT if count is None else count
-        k = max(count + 4, 12)
-        eigs = _shift_invert(lop.tocsc(), SPARSE_SHIFT * bundle.t1_rate_scale)
-        # The forward and adjoint solver windows may disagree on which
-        # eigenvalues sit at their outer edge; widen both until every kept
-        # forward eigenvalue has its adjoint partner.
-        for _ in range(3):
-            wr, vr = eigs(k)
-            wl, vl = eigs(k, adjoint=True)
-            order = np.argsort(np.abs(wr.real), kind="stable")[:count]
-            lams = wr[order]
-            gap = np.abs(np.conj(wl)[None, :] - lams[:, None])
-            partner = np.argmin(gap, axis=1)
-            miss = gap.min(axis=1) > 1e-8 * np.maximum(1.0, np.abs(lams))
-            if not miss.any():
-                break
-            k = min(2 * k, dim - 2)  # scipy needs k < dim - 1
-        else:
+        return select(*_checked_modes(lop, lams, lefts, rights, mag))
+
+    count = SPARSE_COUNT if count is None else count
+    k = max(count + 4, 12) if k is None else k
+    eigs = _shift_invert(lop.tocsc(), SPARSE_SHIFT * bundle.t1_rate_scale)
+    # The forward and adjoint solver windows may disagree on which
+    # eigenvalues sit at their outer edge, and a small window may miss the
+    # modes the caller needs; widen both until neither happens.
+    for last in (False, False, True):
+        wr, vr = eigs(k)
+        wl, vl = eigs(k, adjoint=True)
+        order = np.argsort(np.abs(wr.real), kind="stable")[:count]
+        lams = wr[order]
+        gap = np.abs(np.conj(wl)[None, :] - lams[:, None])
+        partner = np.argmin(gap, axis=1)
+        miss = gap.min(axis=1) > 1e-8 * np.maximum(1.0, np.abs(lams))
+        if not miss.any():
+            modes = _checked_modes(lop, lams, vl[:, partner], vr[:, order], mag)
+            try:
+                return select(*modes)
+            except _NarrowWindow:
+                if last:
+                    raise
+        elif last:
             raise RuntimeError(
                 f"no adjoint eigenvalue matches lambda={lams[np.argmax(miss)]:.6e} "
                 "even after widening the solver window; move the shift"
             )
-        rights, lefts = vr[:, order], vl[:, partner]
-
-    # defectiveness / convergence check on the raw (unit-norm-ish) vectors
-    res = lop @ rights
-    res -= rights * lams
-    res = np.linalg.norm(res, axis=0)
-    bad = res > 1e-8 * mag * np.linalg.norm(rights, axis=0)
-    if bad.any():
-        i = np.argmax(bad)
-        raise RuntimeError(
-            f"eigenpair residual {res[i]:.3e} at lambda={lams[i]:.6e}; "
-            "generator may be defective or the solver did not converge"
-        )
-
-    _biorthonormalize(lams, lefts, rights, mag)
-    n = len(lams) if len(lams) <= 300 else 50
-    gram = lefts[:, :n].conj().T @ rights[:, :n]
-    distinct = np.abs(lams[:n, None] - lams[None, :n]) >= _CLUSTER_RTOL * mag
-    gram[distinct] = 0.0  # cross terms between distinct eigenvalues are exact zeros in theory
-    if np.max(np.abs(gram - np.eye(n))) > 1e-9:
-        raise RuntimeError("biorthonormalization failed beyond 1e-9")
-    return lams, lefts, rights
+        k = min(2 * k, dim - 2)  # scipy needs k < dim - 1
 
 
 def spectrum(
@@ -341,8 +373,10 @@ def spectrum(
     ones go through shift-invert ARPACK at ``SPARSE_SHIFT *
     bundle.t1_rate_scale``, the rule `steady_state` and `t1_rate_diag`
     share.  ``count`` is the number of modes to return
-    (None = all computed; the sparse path defaults to ``SPARSE_COUNT``).
-    Each mode wraps one column of the solver's arrays.
+    (None = all computed; the sparse path defaults to ``SPARSE_COUNT`` and
+    asks ARPACK for ``max(count + 4, 12)``, a wider window than
+    `t1_rate_diag` starts from).  Each mode wraps one column of the
+    solver's arrays.
     """
     lams, lefts, rights = _eigenmodes(bundle, bundle.superop.data, count)
     return [
@@ -403,16 +437,24 @@ def _embed(vec: np.ndarray, idx: np.ndarray | None, dim: int) -> np.ndarray:
 
 
 def _t1_modes(bundle: GeneratorBundle):
-    """`t1_rate_diag`'s candidate modes as `_eigenmodes`' arrays ``lams,
-    lefts, rights``, then the indices of the M = 0 block they are
-    restricted to (None when the generator joins it to the rest; M is the
-    ket's excitation number minus the bra's) and the steady state.  Bare,
+    """`t1_rate_diag`'s candidate modes, the excited population modes, as
+    `_eigenmodes`' arrays ``lams, lefts, rights``, then the indices of the
+    M = 0 block they are restricted to (None when the generator joins it to
+    the rest; M is the ket's excitation number minus the bra's), their
+    weights in the injected excitation, and the steady state.  Bare,
     blackbox and jc generators conserve excitation number, so the steady
     state, the injected excitation and every population mode live there.
     On an open block only the population modes are kept: those whose right
     vector holds at least ``SUPPORT_FRACTION`` of its weight in M = 0.  A
     driven steady state carries coherences, so the qubit coherence modes
     take some of the injected weight, and the dense search would see them.
+
+    The steady state is the search's zero mode, except on a closed block at
+    or below ``_DENSE_LIMIT``, where it is `steady_state`'s full dense
+    ``eig``; so an open block is decomposed once at either size.  Above the
+    limit the search starts from a 6-mode shift-invert window and widens it
+    while the window holds no zero mode or no candidate with weight above
+    ``WEIGHT_FLOOR`` (besides `_eigenmodes`' own adjoint check).
     """
     lop, idx = bundle.superop.data, None
     population = coherence_sectors(bundle.space).sum(1) == 0
@@ -420,16 +462,29 @@ def _t1_modes(bundle: GeneratorBundle):
     if not np.any(population[coo.row] != population[coo.col]):
         idx = np.flatnonzero(population)
         lop = lop[idx][:, idx]
-    lams, lefts, rights = _eigenmodes(bundle, lop, None)
-    if bundle.superop.data.shape[0] <= _DENSE_LIMIT:
-        rho_ss = steady_state(bundle)
-    else:
-        rho_ss = _zero_mode_state(bundle, lams, rights, idx)
-    if idx is None:
-        p = np.abs(rights) ** 2
-        keep = p[population].sum(0) >= SUPPORT_FRACTION * p.sum(0)
+    dense_block = idx is not None and bundle.superop.data.shape[0] <= _DENSE_LIMIT
+
+    def select(lams, lefts, rights):
+        if dense_block:
+            rho_ss = steady_state(bundle)
+        else:
+            rho_ss = _zero_mode_state(bundle, lams, rights, idx)
+        keep = np.abs(lams) > 1e-6 * bundle.t1_rate_scale
+        v0 = vectorize(_injected_excitation(bundle, rho_ss))
+        if idx is None:
+            p = np.abs(rights) ** 2
+            keep &= p[population].sum(0) >= SUPPORT_FRACTION * p.sum(0)
+        else:
+            v0 = v0[idx]
         lams, lefts, rights = lams[keep], lefts[:, keep], rights[:, keep]
-    return lams, lefts, rights, idx, rho_ss
+        weights = lefts.conj().T @ v0
+        if not np.any(np.abs(weights) > WEIGHT_FLOOR):
+            raise _NarrowWindow(
+                f"no excited population mode carries weight above {WEIGHT_FLOOR:.1e}"
+            )
+        return lams, lefts, rights, idx, weights, rho_ss
+
+    return _eigenmodes(bundle, lop, None, k=6, select=select)
 
 
 def t1_rate_diag(bundle: GeneratorBundle) -> T1DiagResult:
@@ -438,9 +493,11 @@ def t1_rate_diag(bundle: GeneratorBundle) -> T1DiagResult:
     Searches the modes `spectrum` would give, restricted to the population
     (M = 0) block when the generator leaves it closed: a dense ``eig`` up
     to ``_DENSE_LIMIT`` (the full superoperator dimension, whatever the
-    block's), above it shift-invert ARPACK.  Injects one qubit excitation
-    on the steady state (``rho_ss``: a full dense ``eig`` up to the limit,
-    above it this search's zero mode), computes every mode weight
+    block's), above it shift-invert ARPACK from a 6-mode window, widened
+    only while that window holds no zero mode or no weighted candidate (see
+    `_t1_modes`).  Injects one qubit excitation on the steady state
+    (``rho_ss``: the search's zero mode, or a full dense ``eig`` for a
+    closed block up to the limit), computes every mode weight
     w = <l, rho0> from the lefts' columns at once, and selects among the
     excited population modes (all of a closed block's; on an open block
     those with ``SUPPORT_FRACTION`` of their weight in M = 0) by two
@@ -449,19 +506,10 @@ def t1_rate_diag(bundle: GeneratorBundle) -> T1DiagResult:
     the selected modes become `SpectralMode` objects; their vectors are
     full-length copies.
     """
-    lams, lefts, rights, idx, rho_ss = _t1_modes(bundle)
-    v0 = vectorize(_injected_excitation(bundle, rho_ss))
-    if idx is not None:
-        v0 = v0[idx]
-    weights = lefts.conj().T @ v0
-    excited = np.abs(lams) > 1e-6 * bundle.t1_rate_scale
-    candidates = np.flatnonzero(excited & (np.abs(weights) > WEIGHT_FLOOR))
-    if not candidates.size:
-        raise RuntimeError(
-            f"no excited population mode carries weight above {WEIGHT_FLOOR:.1e}"
-        )
-    slowest = candidates[0]  # the modes are sorted by |Re lambda|
-    heaviest = np.argmax(np.where(excited, np.abs(weights), -1.0))
+    lams, lefts, rights, idx, weights, rho_ss = _t1_modes(bundle)
+    # the modes are sorted by |Re lambda|, and one clears the floor
+    slowest = np.flatnonzero(np.abs(weights) > WEIGHT_FLOOR)[0]
+    heaviest = np.argmax(np.abs(weights))
     dim = bundle.superop.data.shape[0]
     picked = {  # both criteria may pick the same mode; wrap it once
         i: SpectralMode(lams[i], _embed(rights[:, i], idx, dim),

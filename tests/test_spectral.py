@@ -37,6 +37,7 @@ from purcell_lab.model import (
 )
 from purcell_lab.spectral import (
     PSD_FLOOR,
+    SUPPORT_FRACTION,
     ModeLabel,
     SpectralMode,
     _t1_modes,
@@ -379,6 +380,51 @@ class TestShiftInvert:
         forward, adjoint = solver_calls["eigs"]
         assert adjoint["sigma"] == np.conj(forward["sigma"])
 
+    def test_driven_diag_asks_for_the_small_window(self, solver_calls):
+        # the 6-mode window of a drive-sweep point holds the zero mode and
+        # the weighted slow population modes, so it is never widened
+        t1_rate_diag(drive_sweep_point(10.0, (8, 6)))
+        assert len(solver_calls["splu"]) == 1
+        assert [kwargs["k"] for kwargs in solver_calls["eigs"]] == [6, 6]
+
+    @pytest.mark.parametrize("count,k", [(8, 12), (None, 16)])
+    def test_spectrum_keeps_its_window(self, solver_calls, count, k):
+        spectrum(driven_bundle(), count=count)
+        assert [kwargs["k"] for kwargs in solver_calls["eigs"]] == [k, k]
+
+    def test_window_without_population_modes_widens_once(
+        self, solver_calls, monkeypatch
+    ):
+        bundle = driven_bundle()
+        want = t1_rate_diag(bundle)
+        solver_calls["splu"].clear()
+        solver_calls["eigs"].clear()
+        eigs = purcell_lab.spectral.spla.eigs
+        population = coherence_sectors(bundle.space).sum(1) == 0
+        dropped = []
+
+        def first_forward_drops_population(a, **kwargs):
+            w, v = eigs(a, **kwargs)
+            if len(solver_calls["eigs"]) == 1:
+                p = np.abs(v) ** 2
+                drop = (np.abs(w) > 1e-6 * bundle.t1_rate_scale) & (
+                    p[population].sum(0) >= SUPPORT_FRACTION * p.sum(0)
+                )
+                dropped.append(drop.sum())
+                w, v = w[~drop], v[:, ~drop]
+            return w, v
+
+        monkeypatch.setattr(
+            purcell_lab.spectral.spla, "eigs", first_forward_drops_population
+        )
+        got = t1_rate_diag(bundle)
+        assert dropped[0] > 0
+        assert len(solver_calls["splu"]) == 1
+        assert [kwargs["k"] for kwargs in solver_calls["eigs"]] == [6, 6, 12, 12]
+        assert got.gamma == pytest.approx(want.gamma, rel=1e-12)
+        assert got.gamma_by_weight == pytest.approx(want.gamma_by_weight, rel=1e-12)
+        assert got.agree == want.agree
+
     @pytest.mark.parametrize("dims,block", [((8, 6), 218), ((6, 5), None)])
     def test_blackbox_diag_factors_by_the_full_dimension(
         self, solver_calls, monkeypatch, dims, block
@@ -522,11 +568,39 @@ class TestT1RateDiag:
         assert np.max(np.abs(rho - shift_invert_steady_state(bundle))) <= 1e-10
 
     def test_no_zero_mode_in_the_window(self, monkeypatch):
-        # a shift near i * |Delta| puts the window among the qubit coherences
+        # a shift near i * |Delta| puts the window among the qubit coherences;
+        # the error comes after the window has been widened twice
+        eigs, ks = scipy.sparse.linalg.eigs, []
+
+        def counted_eigs(a, **kwargs):
+            ks.append(kwargs["k"])
+            return eigs(a, **kwargs)
+
+        monkeypatch.setattr(purcell_lab.spectral.spla, "eigs", counted_eigs)
         monkeypatch.setattr(purcell_lab.spectral, "_DENSE_LIMIT", 0)
         monkeypatch.setattr(purcell_lab.spectral, "SPARSE_SHIFT", 1e4j)
         with pytest.raises(RuntimeError, match="no zero mode in the window"):
             t1_rate_diag(driven_bundle())
+        assert ks == [6, 6, 12, 12, 24, 24]
+
+    def test_driven_dense_point_decomposes_once(self, monkeypatch):
+        # an open block at or below the limit takes its steady state from the
+        # mode search's own dense eig of the full generator
+        bundle = driven_bundle()
+        rho_ss = steady_state(bundle)
+        sizes = []
+
+        def spy(eig):
+            def wrapped(a):
+                sizes.append(a.shape[0])
+                return eig(a)
+            return wrapped
+
+        monkeypatch.setattr(np.linalg, "eig", spy(np.linalg.eig))
+        monkeypatch.setattr(scipy.linalg, "eig", spy(scipy.linalg.eig))
+        res = t1_rate_diag(bundle)
+        assert sizes == [256]
+        assert np.max(np.abs(res.rho_ss - rho_ss)) <= 1e-12
 
 
 @st.composite
