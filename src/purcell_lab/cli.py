@@ -35,9 +35,9 @@ from .fockspace import TruncatedSpace
 from .liouvillian import (
     GeneratorBundle,
     TermToggles,
+    build_bare,
     build_blackbox,
     build_displaced,
-    build_jc,
 )
 from .model import (
     DriveParams,
@@ -268,6 +268,10 @@ def config_from_dict(raw: dict) -> ScenarioConfig:
             "the two-level comparison model needs truncation [d_cavity, 2]",
         )
         _require(
+            params.kappa_a == 0.0,
+            "the two-level comparison model assumes model.kappa_a = 0",
+        )
+        _require(
             variable != "drive_photons",
             "the two-level comparison model has no drive sweep",
         )
@@ -372,7 +376,7 @@ def _build_point(
         analytic = gamma_coherent_analytic(dframe, frame)
         regime = diagnostics(frame).flags
     elif config.comparison == "jc":
-        bundle = build_jc(params, space)
+        bundle = build_bare(params, space)
         r = gamma_jc_analytic(params)
         analytic = Gamma2Breakdown(base=r, nc_nc=0.0, nc_cd=0.0, cd_cd=0.0)
         regime = ()

@@ -53,8 +53,8 @@ class TermToggles:
 class GeneratorBundle:
     """A generator plus the context it was built in.
 
-    basis is one of "bare", "blackbox", "displaced", "jc".  frame is the
-    PolaritonFrame (bare/blackbox/jc) or DisplacedFrame (displaced) whose
+    basis is one of "bare", "blackbox", "displaced".  frame is the
+    PolaritonFrame (bare/blackbox) or DisplacedFrame (displaced) whose
     constants parameterize the generator.
     """
 
@@ -298,25 +298,5 @@ def build_displaced(
         superop=_generator(space, coeffs),
         frame=dframe,
         basis="displaced",
-        params=params,
-    )
-
-
-def build_jc(params: SystemParams, space: TruncatedSpace) -> GeneratorBundle:
-    """Two-level-qubit comparison model: linear coupling, lossy thermal cavity.
-
-    Requires the qubit mode truncated to two levels (the Kerr term vanishes
-    identically there) and kappa_a = 0; the cavity bath is the only channel.
-    """
-    if space.n_modes != 2 or space.dims[1] != 2:
-        raise ValueError(
-            f"two-level-qubit model needs space dims (d_c, 2), got {space.dims}"
-        )
-    if params.kappa_a != 0.0:
-        raise ValueError("two-level-qubit comparison model assumes kappa_a = 0")
-    return GeneratorBundle(
-        superop=_generator(space, _bare_coefficients(params)),
-        frame=polariton_frame(params),
-        basis="jc",
         params=params,
     )

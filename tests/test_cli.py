@@ -34,7 +34,7 @@ from purcell_lab.cli import (
     write_rows,
 )
 from purcell_lab.fockspace import TruncatedSpace
-from purcell_lab.liouvillian import build_blackbox, build_jc
+from purcell_lab.liouvillian import build_bare, build_blackbox
 from purcell_lab.model import DriveParams, SystemParams, displaced_frame, polariton_frame
 from purcell_lab.perturbation import gamma_jc_analytic, gamma_thermal_analytic
 from purcell_lab.spectral import steady_state, t1_rate_diag, t1_rate_fit
@@ -129,9 +129,13 @@ class TestConfigSchema:
         path.write_text(json.dumps(raw), encoding="utf-8")
         assert main(["validate", "--config", str(path)]) == 0
 
-    def test_jc_requires_two_level_qubit(self):
+    @pytest.mark.parametrize(
+        "over", [{}, {"truncation": [6, 2], "model": {"kappa_a": 0.001}}]
+    )
+    def test_jc_requires_two_level_qubit(self, over):
+        # a qubit cutoff of 2 and no intrinsic qubit loss define the model
         with pytest.raises(ConfigError, match="two-level"):
-            config_from_dict(make_config(comparison="jc"))
+            config_from_dict(make_config(comparison="jc", **over))
         config_from_dict(make_config(comparison="jc", truncation=[6, 2]))
 
     def test_drive_block_rules(self):
@@ -236,7 +240,8 @@ class TestRunScenario:
 
     def test_sweep_solves_each_steady_state_once(self, monkeypatch):
         # both protocols of a point share one steady state; the bumped
-        # precheck solves its own
+        # precheck solves its own.  Every solve here is the full dense eig of
+        # a closed generator under the dense limit, the only full-space eig.
         config = config_from_dict(
             make_config(
                 truncation=[3, 2],
@@ -249,17 +254,15 @@ class TestRunScenario:
             bundle = purcell_lab.cli._build_point(config, value, (3, 2))[0]
             rho_ss = steady_state(bundle)
             expected.append((t1_rate_diag(bundle).gamma, t1_rate_fit(bundle, rho_ss).gamma))
-        solve = purcell_lab.spectral.steady_state
-        calls = []
+        eig, sizes = np.linalg.eig, []
 
-        def counted(bundle):
-            calls.append(bundle.space.dims)
-            return solve(bundle)
+        def counted(a):
+            sizes.append(a.shape[0])
+            return eig(a)
 
-        for module in (purcell_lab.spectral, purcell_lab.cli):
-            monkeypatch.setattr(module, "steady_state", counted, raising=False)
+        monkeypatch.setattr(np.linalg, "eig", counted)
         rows, _ = run_scenario(config)
-        assert len(calls) == len(config.grid) + 1
+        assert sorted(sizes) == [36] * len(config.grid) + [400]
         assert [(r.gamma_diag, r.gamma_fit) for r in rows] == expected
 
     def test_top_row_fit_failure_fails_the_precheck(self, monkeypatch):
@@ -370,14 +373,13 @@ class TestRunScenario:
             assert row.base == row.gamma_analytic_total
             assert row.nc_nc == row.nc_cd == row.cd_cd == 0.0
             direct = t1_rate_diag(
-                build_jc(params, TruncatedSpace((8, 2)))
+                build_bare(params, TruncatedSpace((8, 2)))
             ).gamma
             assert row.gamma_diag == direct
 
     def test_drive_sweep_hits_requested_photon_number(self):
-        # (6, 4) runs the dense search, which also sees the qubit coherence
-        # modes that the driven steady state overlaps; only population modes
-        # are rate candidates, so the rate is the one the sparse path gives
+        # the driven steady state overlaps the qubit coherence modes, which
+        # sit near the shift; only population modes are rate candidates
         config = config_from_dict(
             make_config(
                 truncation=[6, 4],

@@ -17,7 +17,6 @@ from purcell_lab.liouvillian import (
     build_bare,
     build_blackbox,
     build_displaced,
-    build_jc,
     blackbox_perturbation_parts,
 )
 from purcell_lab.model import (
@@ -199,19 +198,13 @@ class TestBuildDisplaced:
             build_displaced(dframe, params, TruncatedSpace((3, 3)))
 
 
-class TestBuildJc:
-    def test_requires_two_level_qubit(self):
-        with pytest.raises(ValueError, match="d_c, 2"):
-            build_jc(make_params(), TruncatedSpace((4, 3)))
-
-    def test_requires_lossless_qubit(self):
-        with pytest.raises(ValueError, match="kappa_a"):
-            build_jc(make_params(kappa_a=0.001), TruncatedSpace((4, 2)))
-
+class TestTwoLevelModel:
+    # the CLI's two-level comparison model is the bare generator at (d_c, 2)
+    # with kappa_a = 0; the CLI config check enforces both
     def test_decoupled_qubit_population_conserved(self):
         params = make_params(g=0.0, nbar_c0=0.1)
         space = TruncatedSpace((4, 2))
-        bundle = build_jc(params, space)
+        bundle = build_bare(params, space)
         _, _, na = ladder_operators(space, 1)
         rho = np.zeros((8, 8), dtype=complex)
         rho[1, 1] = 1.0  # |0_c, 1_a>
@@ -219,7 +212,7 @@ class TestBuildJc:
         assert abs(np.trace(na.toarray() @ deriv)) < 1e-14
 
     def test_trace_preservation(self):
-        bundle = build_jc(make_params(nbar_c0=0.1), TruncatedSpace((6, 2)))
+        bundle = build_bare(make_params(nbar_c0=0.1), TruncatedSpace((6, 2)))
         assert trace_preservation_residual(bundle.superop) <= 1e-12
 
 
@@ -249,7 +242,6 @@ def all_builders(params, toggles, drive, space):
     return {
         "bare": build_bare(params, space),
         "blackbox": build_blackbox(polariton_frame(params), params, space, toggles),
-        "jc": build_jc(replace(params, kappa_a=0.0), TruncatedSpace((space.dims[0], 2))),
         "displaced": build_displaced(
             displaced_frame(cold, drive), cold, space, toggles
         ),
@@ -257,7 +249,7 @@ def all_builders(params, toggles, drive, space):
 
 
 class TestGeneratorProperties:
-    # each example builds four generators; 25 examples keep each test near
+    # each example builds three generators; 25 examples keep each test near
     # 2.5 s
     @settings(max_examples=25)
     @given(dispersive_cases())

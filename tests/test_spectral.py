@@ -19,6 +19,7 @@ from purcell_lab.fockspace import (
     Superoperator,
     TruncatedSpace,
     ladder_operators,
+    unvectorize,
     vectorize,
 )
 from purcell_lab.liouvillian import (
@@ -27,7 +28,6 @@ from purcell_lab.liouvillian import (
     build_bare,
     build_blackbox,
     build_displaced,
-    build_jc,
 )
 from purcell_lab.model import (
     DriveParams,
@@ -41,6 +41,7 @@ from purcell_lab.spectral import (
     ModeLabel,
     SpectralMode,
     _t1_modes,
+    _zero_mode_state,
     block_labels,
     coherence_sectors,
     evolve,
@@ -392,7 +393,11 @@ class TestShiftInvert:
         named = last[np.argmin(np.abs(last.real))]
         assert f"lambda={named:.6e}" in str(err.value)
 
-    def test_steady_state_factors_once(self, solver_calls):
+    @pytest.mark.parametrize("dense_limit", [0, DENSE_LIMIT])
+    def test_steady_state_factors_once(self, solver_calls, monkeypatch, dense_limit):
+        # a driven steady state is the zero mode of the shift-invert window
+        # at any size, so the dim-256 generator factors one LU either way
+        monkeypatch.setattr(purcell_lab.spectral, "_DENSE_LIMIT", dense_limit)
         bundle = driven_bundle()
         rho = steady_state(bundle)
         assert len(solver_calls["splu"]) == 1
@@ -407,12 +412,29 @@ class TestShiftInvert:
         forward, adjoint = solver_calls["eigs"]
         assert adjoint["sigma"] == np.conj(forward["sigma"])
 
-    def test_driven_diag_asks_for_the_small_window(self, solver_calls):
+    @pytest.mark.parametrize("dims,dense_limit", [((8, 6), 0), ((6, 5), DENSE_LIMIT)])
+    def test_driven_diag_asks_for_the_small_window(
+        self, solver_calls, monkeypatch, dims, dense_limit
+    ):
         # the 6-mode window of a drive-sweep point holds the zero mode and
-        # the weighted slow population modes, so it is never widened
-        t1_rate_diag(drive_sweep_point(10.0, (8, 6)))
+        # the weighted slow population modes, so it is never widened; a
+        # driven generator is searched this way at any size, so the dim-900
+        # point under the dense limit runs no dense eig either
+        monkeypatch.setattr(purcell_lab.spectral, "_DENSE_LIMIT", dense_limit)
+        sizes = []
+
+        def spy(eig):
+            def wrapped(a):
+                sizes.append(a.shape[0])
+                return eig(a)
+            return wrapped
+
+        monkeypatch.setattr(np.linalg, "eig", spy(np.linalg.eig))
+        monkeypatch.setattr(scipy.linalg, "eig", spy(scipy.linalg.eig))
+        t1_rate_diag(drive_sweep_point(10.0, dims))
         assert len(solver_calls["splu"]) == 1
         assert [kwargs["k"] for kwargs in solver_calls["eigs"]] == [6, 6]
+        assert sizes == []
 
     @pytest.mark.parametrize("count,k", [(8, 12), (None, 16)])
     def test_spectrum_keeps_its_window(self, solver_calls, count, k):
@@ -556,7 +578,7 @@ class TestT1RateDiag:
 
     def test_jc_rate_near_closed_form(self):
         params = make_params(U=0.0, nbar_c0=0.05)
-        res = t1_rate_diag(build_jc(params, TruncatedSpace((8, 2))))
+        res = t1_rate_diag(build_bare(params, TruncatedSpace((8, 2))))
         assert res.gamma == pytest.approx(1.1e-4, rel=5e-2)
 
     def test_weight_floor_error(self, monkeypatch):
@@ -567,12 +589,13 @@ class TestT1RateDiag:
 
     @pytest.mark.parametrize(
         "dims,dense_limit",
-        [((4, 3), None), ((4, 3), 0), ((8, 6), None), ("driven", 0)],
+        [((4, 3), None), ((4, 3), 0), ((8, 6), None), ("driven", 0), ("driven", None)],
     )
     def test_returns_the_steady_state(self, monkeypatch, dims, dense_limit):
         # dim 144 by a full dense eig; above the limit the zero mode of the
-        # mode search: dims 144 and 2304 by block ARPACK, and the driven
-        # dim-256 generator by the full shift-invert window
+        # mode search: dims 144 and 2304 by block ARPACK.  The driven dim-256
+        # generator is the zero mode of the full shift-invert window at
+        # either limit.
         if dense_limit is not None:
             monkeypatch.setattr(purcell_lab.spectral, "_DENSE_LIMIT", dense_limit)
         if dims == "driven":
@@ -610,25 +633,6 @@ class TestT1RateDiag:
             t1_rate_diag(driven_bundle())
         assert ks == [6, 6, 12, 12, 24, 24]
 
-    def test_driven_dense_point_decomposes_once(self, monkeypatch):
-        # an open block at or below the limit takes its steady state from the
-        # mode search's own dense eig of the full generator
-        bundle = driven_bundle()
-        rho_ss = steady_state(bundle)
-        sizes = []
-
-        def spy(eig):
-            def wrapped(a):
-                sizes.append(a.shape[0])
-                return eig(a)
-            return wrapped
-
-        monkeypatch.setattr(np.linalg, "eig", spy(np.linalg.eig))
-        monkeypatch.setattr(scipy.linalg, "eig", spy(scipy.linalg.eig))
-        res = t1_rate_diag(bundle)
-        assert sizes == [256]
-        assert np.max(np.abs(res.rho_ss - rho_ss)) <= 1e-12
-
 
 @st.composite
 def small_generators(draw):
@@ -644,8 +648,8 @@ def small_generators(draw):
         nbar_c0=draw(st.floats(0.0, 0.15)),
     )
     n_c = draw(st.integers(4, 5))
-    if kind == "jc":
-        return build_jc(replace(params, kappa_a=0.0), TruncatedSpace((n_c + 2, 2)))
+    if kind == "jc":  # the two-level comparison model
+        return build_bare(replace(params, kappa_a=0.0), TruncatedSpace((n_c + 2, 2)))
     space = TruncatedSpace((n_c, 3))
     if kind == "bare":
         return build_bare(params, space)
@@ -667,7 +671,10 @@ class TestSteadyStateFromModes:
         )
     )
     def test_zero_mode_is_the_physical_steady_state(self, bundle):
-        dense = steady_state(bundle)
+        # the reference is the null vector of a full dense eig for every kind;
+        # `steady_state` solves a driven generator by the shift-invert window
+        w, v = np.linalg.eig(bundle.superop.data.toarray())
+        dense = _zero_mode_state(bundle, w, v)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(purcell_lab.spectral, "_DENSE_LIMIT", 0)
             rho = steady_state(bundle)
@@ -680,7 +687,8 @@ class TestSteadyStateFromModes:
 
 
 def diag_on_both_paths(bundle):
-    """`t1_rate_diag` at the dense limit and with every search sparse."""
+    """`t1_rate_diag` at the dense limit and with every search sparse; a
+    driven generator is searched sparse under either limit."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # a criteria disagreement is compared below
         dense = t1_rate_diag(bundle)
@@ -691,26 +699,33 @@ def diag_on_both_paths(bundle):
 
 
 class TestPathIndependence:
-    """The rate and `agree` do not depend on which eigensolver path ran."""
+    """The rate and `agree` do not depend on which eigensolver path ran, and
+    the rate is the one the full dense spectrum gives."""
 
     @settings(max_examples=20)
     @given(small_generators())
     def test_diag_matches_across_paths(self, bundle):
         dense, sparse = diag_on_both_paths(bundle)
-        assert sparse.gamma == pytest.approx(dense.gamma, rel=1e-9)
-        assert sparse.gamma_by_weight == pytest.approx(dense.gamma_by_weight, rel=1e-9)
+        gamma, gamma_w = reference_diag(bundle)
+        for res in (dense, sparse):
+            assert res.gamma == pytest.approx(gamma, rel=1e-9)
+            assert res.gamma_by_weight == pytest.approx(gamma_w, rel=1e-9)
         assert sparse.agree == dense.agree
 
     @pytest.mark.parametrize("photons", [2.0, 10.0])
     @pytest.mark.parametrize("dims", [(4, 4), (5, 5), (6, 5)])
     def test_driven_drive_sweep_points(self, dims, photons):
-        # the driven steady state carries coherences, so the qubit coherence
-        # modes (Im lambda ~ +-1.1, decaying at Gamma_1 / 2) take some of the
-        # injected weight; the dense search sees them and the sparse window
-        # does not, and only population modes may be picked
-        dense, sparse = diag_on_both_paths(drive_sweep_point(photons, dims))
-        assert dense.gamma == pytest.approx(sparse.gamma, rel=1e-9)
-        assert dense.agree and sparse.agree
+        # every driven search is the shift-invert window, so the reference is
+        # the full dense spectrum.  The driven steady state carries
+        # coherences, so the qubit coherence modes (Im lambda ~ +-1.1,
+        # decaying at Gamma_1 / 2) take some of the injected weight there,
+        # and only population modes may be picked.
+        bundle = drive_sweep_point(photons, dims)
+        res = t1_rate_diag(bundle)
+        gamma, gamma_w = reference_diag(bundle)
+        assert res.gamma == pytest.approx(gamma, rel=1e-9)
+        assert res.gamma_by_weight == pytest.approx(gamma_w, rel=1e-9)
+        assert res.agree
 
     def test_driven_fit_matches_diag(self):
         bundle = drive_sweep_point(10.0, (5, 5))
@@ -719,16 +734,27 @@ class TestPathIndependence:
         assert fit.gamma == pytest.approx(diag.gamma, rel=1e-2)
 
 
-def reference_diag(bundle, rho_ss):
-    """t1_rate_diag's two selection rules applied to the full-space spectrum."""
+def reference_diag(bundle, rho_ss=None):
+    """t1_rate_diag's two selection rules applied to the population modes
+    (at least ``SUPPORT_FRACTION`` of their weight in M = 0) of the full
+    dense spectrum, injecting on ``rho_ss`` (default: that spectrum's zero
+    mode)."""
+    modes = spectrum(bundle)  # the full generator, under the dense limit
+    if rho_ss is None:
+        rho_ss = unvectorize(min(modes, key=lambda m: abs(m.lam)).right, bundle.space)
+        rho_ss = 0.5 * (rho_ss + rho_ss.conj().T)
+        rho_ss = rho_ss / np.trace(rho_ss)
     _, a_raise, _ = ladder_operators(bundle.space, 1)
     rho0 = a_raise @ rho_ss @ a_raise.conj().T
     v0 = vectorize(rho0 / np.trace(rho0).real)
     scale = bundle.t1_rate_scale
+    population = coherence_sectors(bundle.space).sum(1) == 0
     excited = [
         (m.lam, abs(np.vdot(m.left, v0)))
-        for m in spectrum(bundle)
+        for m in modes
         if abs(m.lam) > 1e-6 * scale
+        and np.sum(np.abs(m.right[population]) ** 2)
+        >= SUPPORT_FRACTION * np.sum(np.abs(m.right) ** 2)
     ]
     slowest = min(
         (e for e in excited if e[1] > purcell_lab.spectral.WEIGHT_FLOOR),
@@ -745,7 +771,7 @@ def sector_bundles():
         "bare": build_bare(params, space),
         "blackbox+": blackbox((4, 3), kappa_a=0.001, nbar_c0=0.1),
         "blackbox-": blackbox((4, 3), omega_a=-1.0, kappa_a=0.001, nbar_c0=0.1),
-        "jc": build_jc(make_params(U=0.0, nbar_c0=0.05), TruncatedSpace((6, 2))),
+        "jc": build_bare(make_params(U=0.0, nbar_c0=0.05), TruncatedSpace((6, 2))),
     }
 
 
@@ -788,21 +814,21 @@ class TestPopulationSector:
         assert _t1_modes(build_displaced(undriven, params, space))[3] is not None
 
     def test_diag_diagonalizes_only_the_block(self, monkeypatch):
+        # the mode search decomposes the 110-component population block; the
+        # one full-dimension eig is the steady state of the dim-900 generator
         bundle = blackbox((6, 5), nbar_c0=0.05)
-        rho_ss = steady_state(bundle)
-        monkeypatch.setattr(purcell_lab.spectral, "steady_state", lambda b: rho_ss)
-        sizes = []
+        sizes = {"search": [], "steady": []}
 
-        def spy(eig):
+        def spy(eig, key):
             def wrapped(a):
-                sizes.append(a.shape[0])
+                sizes[key].append(a.shape[0])
                 return eig(a)
             return wrapped
 
-        monkeypatch.setattr(np.linalg, "eig", spy(np.linalg.eig))
-        monkeypatch.setattr(scipy.linalg, "eig", spy(scipy.linalg.eig))
+        monkeypatch.setattr(np.linalg, "eig", spy(np.linalg.eig, "steady"))
+        monkeypatch.setattr(scipy.linalg, "eig", spy(scipy.linalg.eig, "search"))
         t1_rate_diag(bundle)
-        assert sizes and max(sizes) <= 110
+        assert sizes == {"search": [110], "steady": [900]}
 
 
 class TestEvolve:
