@@ -12,6 +12,12 @@ unit-coefficient sparse terms (Hamiltonian terms with S_k = -i[O_k, .],
 dissipators, correlated-dissipation pieces).  The builders differ only in
 the coefficient map c_k they take from their frame; term toggles drop keys
 from that map, and the perturbation parts are partial sums of it.
+
+The table depends only on the cutoff, so it is built once per
+:class:`TruncatedSpace` per process and shared by every later generator of
+that space.  The sum over it (:func:`_term_sum`) runs in full for every
+generator, in the same order, so a generator built from a shared table is
+bit-identical to one built from a fresh table.
 """
 
 from __future__ import annotations
@@ -103,7 +109,27 @@ def _mode_terms(
     )
 
 
+# One term table per cutoff, shared by every generator built in the process.
+# Unbounded: a table holds 0.7 MB at (8, 6) and 4.4 MB at (12, 10), and a
+# sweep touches two cutoffs (its grid's and the bumped precheck's).  A
+# concurrent miss only builds an identical table twice; the store is one
+# dict assignment, so no lock is needed.
+_TERM_TABLES: dict[TruncatedSpace, tuple[dict, dict]] = {}
+
+
 def _term_table(
+    space: TruncatedSpace,
+) -> tuple[dict[str, sp.csr_matrix], dict[str, sp.csr_matrix]]:
+    """The term table of ``space`` (:func:`_build_term_table`), built on the
+    first call for that space and shared afterwards.  Callers read the
+    shared matrices and must not modify them."""
+    table = _TERM_TABLES.get(space)
+    if table is None:
+        table = _TERM_TABLES[space] = _build_term_table(space)
+    return table
+
+
+def _build_term_table(
     space: TruncatedSpace,
 ) -> tuple[dict[str, sp.csr_matrix], dict[str, sp.csr_matrix]]:
     """Unit-coefficient terms of every generator: (operators, superoperators).

@@ -142,11 +142,11 @@ def _shift_invert(mat, sigma):
     shifted matrix in reverse Cuthill-McKee order, ``P (mat - sig I) P^T``,
     factored in that column order with SuperLU's partial pivoting; on a
     driven generator the bandwidth-reducing order leaves about a third less
-    fill than scipy's default column order.  The permutation comes from the pattern of ``mat + mat^T`` once
-    per call, since a shift changes only the diagonal, and a solve permutes
-    in and out, which is exact for the adjoint too.  A singular LU or an
-    ARPACK failure nudges the shift off the real axis and factors again;
-    three failures in one call raise.
+    fill than scipy's default column order.  The permutation comes from the
+    pattern of ``mat + mat^T`` once per call, since a shift changes only the
+    diagonal, and a solve permutes in and out, which is exact for the
+    adjoint too.  A singular LU or an ARPACK failure nudges the shift off
+    the real axis and factors again; three failures in one call raise.
     """
     dim = mat.shape[0]
     v0 = np.ones(dim) / np.sqrt(dim)

@@ -18,6 +18,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import purcell_lab.cli
+import purcell_lab.liouvillian
 import purcell_lab.spectral
 from purcell_lab.cli import (
     ConfigError,
@@ -237,6 +238,28 @@ class TestRunScenario:
         direct = solve(purcell_lab.cli._build_point(config, 0.02, (5, 4))[0]).gamma
         drift = abs(direct - rows[-1].gamma_diag) / abs(direct)
         assert summary["precheck_drift"] == drift
+
+    def test_sweep_builds_one_term_table_per_cutoff(self, monkeypatch):
+        # only the coefficients change along a grid, so the grid cutoff and
+        # the bumped precheck cutoff each build one table
+        build, built = purcell_lab.liouvillian._build_term_table, []
+
+        def counted(space):
+            built.append(space.dims)
+            return build(space)
+
+        monkeypatch.setattr(purcell_lab.liouvillian, "_build_term_table", counted)
+        monkeypatch.setattr(purcell_lab.liouvillian, "_TERM_TABLES", {})
+        config = config_from_dict(
+            make_config(truncation=[3, 2], sweep={"grid": [0.0, 0.01, 0.02, 0.03]})
+        )
+        serial, _ = run_scenario(config)
+        assert sorted(built) == [(3, 2), (5, 4)]
+        monkeypatch.setattr(purcell_lab.liouvillian, "_TERM_TABLES", {})
+        threaded, _ = run_scenario(config, jobs=2)
+        assert [replace(r, wall_time_s=0.0) for r in threaded] == [
+            replace(r, wall_time_s=0.0) for r in serial
+        ]
 
     def test_sweep_solves_each_steady_state_once(self, monkeypatch):
         # both protocols of a point share one steady state; the bumped

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import purcell_lab.liouvillian as liouvillian
 from purcell_lab.fockspace import (
     TruncatedSpace,
     ladder_operators,
@@ -25,7 +26,7 @@ from purcell_lab.model import (
     displaced_frame,
     polariton_frame,
 )
-from purcell_lab.spectral import coherence_sectors
+from purcell_lab.spectral import coherence_sectors, t1_rate_diag
 from reference import (
     bare_hamiltonian,
     lindblad_superoperator,
@@ -293,3 +294,63 @@ class TestGeneratorProperties:
         )
         diff = build_bare(params, space).superop.data - reference.data
         assert np.max(np.abs(diff.toarray())) < 1e-14
+
+
+def every_generator(case):
+    """The superoperator matrices of every builder and perturbation part."""
+    params, _, _, space = case
+    mats = {basis: b.superop.data for basis, b in all_builders(*case).items()}
+    parts = blackbox_perturbation_parts(polariton_frame(params), space)
+    mats.update({f"part {name}": part.data for name, part in parts.items()})
+    return mats
+
+
+def csr_arrays(mat):
+    return mat.data, mat.indices, mat.indptr
+
+
+class TestSharedTermTable:
+    # each table here goes into a fresh dict; the process's own cache is
+    # never cleared
+
+    @settings(max_examples=25)
+    @given(dispersive_cases())
+    def test_shared_table_gives_bit_identical_generators(self, case):
+        def no_build(space):
+            raise AssertionError(f"table of {space} built again")
+
+        with pytest.MonkeyPatch.context() as mp:
+            cold = {}
+            for name in every_generator(case):
+                mp.setattr(liouvillian, "_TERM_TABLES", {})
+                cold[name] = every_generator(case)[name]
+            # the last dict holds the table every kind has now read
+            mp.setattr(liouvillian, "_build_term_table", no_build)
+            warm = every_generator(case)
+        assert warm.keys() == cold.keys()
+        for name, mat in warm.items():
+            for got, want in zip(csr_arrays(mat), csr_arrays(cold[name])):
+                assert np.array_equal(got, want), name
+
+    def test_consumers_leave_the_shared_table_unchanged(self, monkeypatch):
+        def snapshot(table):
+            return {
+                key: [arr.copy() for arr in csr_arrays(mat)]
+                for terms in table
+                for key, mat in terms.items()
+            }
+
+        monkeypatch.setattr(liouvillian, "_TERM_TABLES", {})
+        params = make_params(kappa_a=0.002, nbar_c0=0.08, nbar_a0=0.02)
+        case = (params, TermToggles(), DriveParams(0.03, -0.3), TruncatedSpace((4, 3)))
+        table = liouvillian._term_table(case[-1])
+        before = snapshot(table)
+        for bundle in all_builders(*case).values():
+            t1_rate_diag(bundle)
+        blackbox_perturbation_parts(polariton_frame(params), case[-1])
+        assert liouvillian._term_table(case[-1]) is table
+        after = snapshot(table)
+        assert after.keys() == before.keys()
+        for key, arrays in after.items():
+            for got, want in zip(arrays, before[key]):
+                assert np.array_equal(got, want), key
