@@ -14,10 +14,12 @@ the coefficient map c_k they take from their frame; term toggles drop keys
 from that map, and the perturbation parts are partial sums of it.
 
 The table depends only on the cutoff, so it is built once per
-:class:`TruncatedSpace` per process and shared by every later generator of
-that space.  The sum over it (:func:`_term_sum`) runs in full for every
-generator, in the same order, so a generator built from a shared table is
-bit-identical to one built from a fresh table.
+:class:`TruncatedSpace` per process and kept as a layout: one sorted
+sparsity pattern for every term, each term as positions and real values
+on it (:func:`_build_layout`).  The sum over it (:func:`_term_sum`) is a
+few scatter-adds on one data vector, in the same order for every
+generator, and gives the same CSR arrays, bit for bit, as adding the
+terms as sparse matrices one by one.
 """
 
 from __future__ import annotations
@@ -109,35 +111,33 @@ def _mode_terms(
     )
 
 
-# One term table per cutoff, shared by every generator built in the process.
-# Unbounded: a table holds 0.7 MB at (8, 6) and 4.4 MB at (12, 10), and a
-# sweep touches two cutoffs (its grid's and the bumped precheck's).  A
-# concurrent miss only builds an identical table twice; the store is one
-# dict assignment, so no lock is needed.
-_TERM_TABLES: dict[TruncatedSpace, tuple[dict, dict]] = {}
+# One layout per cutoff (:func:`_build_layout`), shared by every generator
+# built in the process.  Unbounded: a layout holds 0.55 MB at (8, 6) and
+# 1.6 MB at (10, 8), and a sweep touches two cutoffs (its grid's and the
+# bumped precheck's).  A concurrent miss only builds an identical layout
+# twice; the store is one dict assignment, so no lock is needed.
+_TERM_TABLES: dict[TruncatedSpace, tuple] = {}
 
 
-def _term_table(
-    space: TruncatedSpace,
-) -> tuple[dict[str, sp.csr_matrix], dict[str, sp.csr_matrix]]:
-    """The term table of ``space`` (:func:`_build_term_table`), built on the
-    first call for that space and shared afterwards.  Callers read the
-    shared matrices and must not modify them."""
-    table = _TERM_TABLES.get(space)
-    if table is None:
-        table = _TERM_TABLES[space] = _build_term_table(space)
-    return table
+def _term_table(space: TruncatedSpace) -> tuple:
+    """The layout of ``space``, built on the first call for that space and
+    shared afterwards; its arrays are read-only."""
+    layout = _TERM_TABLES.get(space)
+    if layout is None:
+        layout = _TERM_TABLES[space] = _build_layout(space)
+    return layout
 
 
-def _build_term_table(
+def _unit_terms(
     space: TruncatedSpace,
 ) -> tuple[dict[str, sp.csr_matrix], dict[str, sp.csr_matrix]]:
     """Unit-coefficient terms of every generator: (operators, superoperators).
 
     Hamiltonian terms are kept as operators O_k; their superoperators are
-    S_k = -i[O_k, .].  Dissipative terms are superoperators S_k.  Each mode
-    contributes its local terms (:func:`_mode_terms`, tags "c" and "a");
-    the two modes share n_c n_a ("cross_kerr"), a^dag c + c^dag a
+    S_k = -i[O_k, .].  Dissipative terms are superoperators S_k.  A
+    one-mode space has only its mode's local terms (:func:`_mode_terms`,
+    tag "m").  On two modes each contributes its local terms (tags "c" and
+    "a"); the two share n_c n_a ("cross_kerr"), a^dag c + c^dag a
     ("exchange"), a^dag a^dag a c + h.c. ("conversion"), a^dag a^dag a
     ("drive") and its adjoint ("drive_dag"), and the three pieces of the
     correlated dissipation between the two dressed modes,
@@ -149,6 +149,8 @@ def _build_term_table(
     keyed "cd_anticommutator", "cd_down" and "cd_up"; L_cd is
     trace-preserving for any real gamma_up, gamma_down.
     """
+    if space.n_modes == 1:
+        return _mode_terms(ladder_operators(space, 0), "m")
     cavity, qubit = ladder_operators(space, 0), ladder_operators(space, 1)
     (c, cd, nc), (a, ad, na) = cavity, qubit
     exchange = ad @ c + cd @ a
@@ -174,27 +176,88 @@ def _build_term_table(
     return operators, superoperators
 
 
-def _term_sum(table, coeffs: dict[str, complex]) -> sp.csr_matrix:
-    """sum_k c_k S_k over the term table, in the order of ``coeffs``.
+def _build_layout(space: TruncatedSpace) -> tuple:
+    """The terms of :func:`_unit_terms` on one sparsity pattern:
+    ``(indptr, indices, lift, operators, superoperators)``.
+
+    ``indptr``/``indices`` are the sorted CSR union pattern of every
+    superoperator term and of -i[h, .] for h on the union pattern of the
+    operator terms.  Each term maps to ``(positions, values)``: int32
+    positions into its pattern and float64 values (every term is real).
+    ``lift`` holds the positions of h's entries in the left and right
+    multiplications 1 (x) h and h^T (x) 1, each of shape (N, entries of h).
+    """
+    n = space.total_dim
+    n2 = n * n
+
+    def frozen(arr):
+        arr.flags.writeable = False
+        return arr
+
+    def entries(mat, width):  # linear keys and values, in CSR order
+        coo = mat.tocoo()
+        return coo.row * np.int64(width) + coo.col, frozen(coo.data.real.copy())
+
+    def placed(keys, pattern):
+        return frozen(np.searchsorted(pattern, keys).astype(np.int32))
+
+    # the sparse terms are dropped as soon as their entries are read
+    ops, sops = (
+        {key: entries(mat, width) for key, mat in terms.items()}
+        for terms, width in zip(_unit_terms(space), (n, n2))
+    )
+    h_pattern = np.unique(np.concatenate([k for k, _ in ops.values()]))
+    rows, cols = np.divmod(h_pattern, n)
+    # entry (r, c) of h sits at (i n + r, i n + c) and (c n + i, r n + i)
+    block = np.arange(n)[:, None] * (n2 + 1)
+    lift = (block * n + rows * n2 + cols, block + (cols * n2 + rows) * n)
+    pattern = np.concatenate([*lift, *(k for k, _ in sops.values())], axis=None)
+    pattern.sort()  # in place: np.unique would sort a copy
+    pattern = pattern[np.concatenate(([True], pattern[1:] != pattern[:-1]))]
+    return (
+        placed(np.arange(n2 + 1) * n2, pattern),
+        frozen((pattern % n2).astype(np.int32)),
+        tuple(placed(k, pattern) for k in lift),
+        {key: (placed(k, h_pattern), v) for key, (k, v) in ops.items()},
+        {key: (placed(k, pattern), v) for key, (k, v) in sops.items()},
+    )
+
+
+def _term_sum(layout: tuple, coeffs: dict[str, complex]) -> sp.csr_matrix:
+    """sum_k c_k S_k over the layout, in the order of ``coeffs``.
 
     The Hamiltonian part is taken as -i[sum_k c_k O_k, .], equal to
     sum_k c_k S_k by linearity but rounded like the operator-level
     Hamiltonian of the frame.  The time-domain rate fit is that sensitive
     to generator roundoff (a last-bit change moves its rate by 0.3% at
     cutoff (6, 5)), so the order of the floating-point sums is part of the
-    result.  Zero coefficients are skipped.
+    result.  Zero coefficients are skipped.  The sums run on one data vector
+    over the layout's pattern and give the values, signed zeros and pattern
+    of the same sums taken term by term in scipy.sparse.
     """
-    operators, superoperators = table
-    n = next(iter(operators.values())).shape[0]
-    h = sp.csr_matrix((n, n), dtype=complex)
+    indptr, indices, (left, right), operators, superoperators = layout
+    h = np.zeros(left.shape[1], dtype=complex)
     for key, coeff in coeffs.items():
         if coeff != 0 and key in operators:
-            h = h + coeff * operators[key]
-    gen = -1j * (left_mult(h) - right_mult(h))
+            pos, values = operators[key]
+            h[pos] += coeff * values
+    data = np.zeros(len(indices), dtype=complex)
+    data[left] += h
+    data[right] -= h
+    data *= -1j
+    dissipative = False
     for key, coeff in coeffs.items():
         if coeff != 0 and key in superoperators:
-            gen = gen + coeff * superoperators[key]
-    return gen
+            pos, values = superoperators[key]
+            data[pos] += coeff * values
+            dissipative = True
+    if dissipative:  # as a sparse addition does, make every exact zero part +0
+        data += 0.0
+    keep = data != 0  # exact zeros are dropped, as sparse additions drop them
+    return sp.csr_matrix(
+        (data[keep], indices[keep], np.searchsorted(np.flatnonzero(keep), indptr)),
+        shape=(len(indptr) - 1,) * 2,
+    )
 
 
 def _generator(space: TruncatedSpace, coeffs: dict[str, complex]) -> Superoperator:

@@ -20,14 +20,12 @@ import numpy as np
 from .fockspace import (
     Superoperator,
     TruncatedSpace,
-    ladder_operators,
     vectorize,
 )
 from .liouvillian import (
     GeneratorBundle,
     _bath_coefficients,
-    _mode_terms,
-    _term_sum,
+    _generator,
     blackbox_perturbation_parts,
 )
 from .model import DisplacedFrame, PolaritonFrame, SystemParams
@@ -137,12 +135,12 @@ def decoupled_block(
 
     Used as the brute-force reference the closed-form catalog is validated
     against: ``-i[omega n + kerr a^dag a^dag a a, .]`` plus a thermal bath
-    of rate ``kappa`` and occupancy ``nbar``, summed from the same term
-    table as the model generators.
+    of rate ``kappa`` and occupancy ``nbar``, summed over the layout of the
+    one-mode space ``TruncatedSpace((dim,))`` the way the model generators
+    are summed over theirs (built once per ``dim`` and shared).
     """
-    table = _mode_terms(ladder_operators(TruncatedSpace((dim,)), 0), "m")
     coeffs = {"n_m": omega, "kerr_m": kerr, **_bath_coefficients("m", kappa, nbar)}
-    return _term_sum(table, coeffs).toarray()
+    return _generator(TruncatedSpace((dim,)), coeffs).data.toarray()
 
 
 def _edge_mask(dim: int) -> np.ndarray:

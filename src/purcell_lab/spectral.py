@@ -433,10 +433,33 @@ def block_labels(
     return modes
 
 
+# Cutoff constants of the T1 protocols, built on the first call for a space
+# and shared, read-only, by every later generator of that space: the qubit
+# raise operator, its adjoint, the dense qubit number operator and the mask
+# of the population (M = 0) block.  A concurrent miss only builds them twice.
+_T1_CONSTANTS: dict[TruncatedSpace, tuple] = {}
+
+
+def _t1_constants(space: TruncatedSpace) -> tuple:
+    """(qubit raise operator, its adjoint, dense qubit number operator,
+    population mask) of ``space``."""
+    consts = _T1_CONSTANTS.get(space)
+    if consts is None:
+        _, a_raise, number = ladder_operators(space, 1)
+        a_lower = a_raise.conj().T
+        population = coherence_sectors(space).sum(1) == 0
+        consts = (a_raise, a_lower, number.toarray(), population)
+        for arr in (a_raise.data, a_raise.indices, a_raise.indptr, a_lower.data,
+                    a_lower.indices, a_lower.indptr, *consts[2:]):
+            arr.flags.writeable = False
+        _T1_CONSTANTS[space] = consts
+    return consts
+
+
 def _injected_excitation(bundle: GeneratorBundle, rho_ss: np.ndarray) -> np.ndarray:
     """Normalized rho_ss with one extra qubit excitation added."""
-    _, a_raise, _ = ladder_operators(bundle.space, 1)
-    rho0 = a_raise @ rho_ss @ a_raise.conj().T
+    a_raise, a_lower, _, _ = _t1_constants(bundle.space)
+    rho0 = a_raise @ rho_ss @ a_lower
     tr = np.trace(rho0).real
     if tr <= 0:
         raise RuntimeError("cannot inject an excitation: zero-weight result")
@@ -459,9 +482,10 @@ def _population_block(bundle: GeneratorBundle) -> tuple[np.ndarray, bool, bool]:
     the T1 search and the steady state go dense: a closed block with a
     superoperator dimension up to ``_DENSE_LIMIT``."""
     data = bundle.superop.data
-    population = coherence_sectors(bundle.space).sum(1) == 0
-    coo = data.tocoo()
-    closed = not np.any(population[coo.row] != population[coo.col])
+    *_, population = _t1_constants(bundle.space)
+    # the row of every stored entry against its column, read off the CSR arrays
+    rows = np.repeat(population, np.diff(data.indptr))
+    closed = np.array_equal(rows, population[data.indices])
     return population, closed, closed and data.shape[0] <= _DENSE_LIMIT
 
 
@@ -670,7 +694,7 @@ def t1_rate_fit(
     scale = bundle.t1_rate_scale
     horizon = horizon if horizon is not None else 20.0 / scale
     rho0 = _injected_excitation(bundle, rho_ss)
-    n_qubit = ladder_operators(bundle.space, 1)[2].toarray()
+    _, _, n_qubit, _ = _t1_constants(bundle.space)
     times = np.linspace(0.0, horizon, FIT_STEPS + 1)
     traj = evolve(bundle, rho0, times)
     nvals = np.einsum("tij,ji->t", traj, n_qubit).real

@@ -39,6 +39,29 @@ def bare_hamiltonian(params: SystemParams, space: TruncatedSpace) -> sp.csr_matr
     )
 
 
+def term_sum(table, coeffs: dict[str, complex]) -> sp.csr_matrix:
+    """sum_k c_k S_k over a table of unit terms, ``(operators,
+    superoperators)`` as `liouvillian._unit_terms` gives them, in the order
+    of ``coeffs``, added term by term in scipy.sparse: the reference for
+    `liouvillian._term_sum`, which must give the same CSR arrays bit for bit.
+
+    The Hamiltonian part is taken as -i[sum_k c_k O_k, .], equal to
+    sum_k c_k S_k by linearity but rounded like the operator-level
+    Hamiltonian of the frame.  Zero coefficients are skipped.
+    """
+    operators, superoperators = table
+    n = next(iter(operators.values())).shape[0]
+    h = sp.csr_matrix((n, n), dtype=complex)
+    for key, coeff in coeffs.items():
+        if coeff != 0 and key in operators:
+            h = h + coeff * operators[key]
+    gen = -1j * (left_mult(h) - right_mult(h))
+    for key, coeff in coeffs.items():
+        if coeff != 0 and key in superoperators:
+            gen = gen + coeff * superoperators[key]
+    return gen
+
+
 def lindblad_superoperator(space: TruncatedSpace, h, channels) -> Superoperator:
     """Schrodinger-picture generator -i[H, .] + sum_k rate_k D[L_k], with
     D[L] rho = L rho L^dag - (1/2){L^dag L, rho}.

@@ -241,14 +241,14 @@ class TestRunScenario:
 
     def test_sweep_builds_one_term_table_per_cutoff(self, monkeypatch):
         # only the coefficients change along a grid, so the grid cutoff and
-        # the bumped precheck cutoff each build one table
-        build, built = purcell_lab.liouvillian._build_term_table, []
+        # the bumped precheck cutoff each build one layout
+        build, built = purcell_lab.liouvillian._build_layout, []
 
         def counted(space):
             built.append(space.dims)
             return build(space)
 
-        monkeypatch.setattr(purcell_lab.liouvillian, "_build_term_table", counted)
+        monkeypatch.setattr(purcell_lab.liouvillian, "_build_layout", counted)
         monkeypatch.setattr(purcell_lab.liouvillian, "_TERM_TABLES", {})
         config = config_from_dict(
             make_config(truncation=[3, 2], sweep={"grid": [0.0, 0.01, 0.02, 0.03]})

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import purcell_lab.liouvillian as liouvillian
+import purcell_lab.spectral as spectral
 from purcell_lab.fockspace import (
     TruncatedSpace,
     ladder_operators,
@@ -26,10 +27,12 @@ from purcell_lab.model import (
     displaced_frame,
     polariton_frame,
 )
-from purcell_lab.spectral import coherence_sectors, t1_rate_diag
+from purcell_lab.perturbation import decoupled_block
+from purcell_lab.spectral import coherence_sectors, t1_rate_diag, t1_rate_fit
 from reference import (
     bare_hamiltonian,
     lindblad_superoperator,
+    term_sum,
     trace_preservation_residual,
 )
 
@@ -309,48 +312,156 @@ def csr_arrays(mat):
     return mat.data, mat.indices, mat.indptr
 
 
+def csr_bits(mat):
+    """The CSR arrays, with the values as raw bits so signed zeros count."""
+    return mat.indptr, mat.indices, mat.data.view(np.uint64)
+
+
+def shared_arrays(space):
+    """Every array of the per-cutoff objects shared by the generators and
+    the T1 protocols of ``space``: the layout, the qubit operators and the
+    population mask."""
+    indptr, indices, lift, operators, superoperators = liouvillian._term_table(space)
+    a_raise, a_lower, number, population = spectral._t1_constants(space)
+    arrays = {
+        "indptr": indptr, "indices": indices, "left": lift[0], "right": lift[1],
+        "number": number, "population": population,
+    }
+    for terms in (operators, superoperators):
+        for key, (positions, values) in terms.items():
+            arrays[f"{key} positions"], arrays[f"{key} values"] = positions, values
+    for name, op in (("raise", a_raise), ("lower", a_lower)):
+        for part, arr in zip(("data", "indices", "indptr"), csr_arrays(op)):
+            arrays[f"{name} {part}"] = arr
+    return arrays
+
+
 class TestSharedTermTable:
-    # each table here goes into a fresh dict; the process's own cache is
+    # each layout here goes into a fresh dict; the process's own cache is
     # never cleared
 
     @settings(max_examples=25)
     @given(dispersive_cases())
     def test_shared_table_gives_bit_identical_generators(self, case):
         def no_build(space):
-            raise AssertionError(f"table of {space} built again")
+            raise AssertionError(f"layout of {space} built again")
+
+        build, built = liouvillian._build_layout, []
+
+        def counted(space):
+            built.append(space)
+            return build(space)
 
         with pytest.MonkeyPatch.context() as mp:
+            names = list(every_generator(case))
+            mp.setattr(liouvillian, "_build_layout", counted)
             cold = {}
-            for name in every_generator(case):
+            for name in names:
                 mp.setattr(liouvillian, "_TERM_TABLES", {})
                 cold[name] = every_generator(case)[name]
-            # the last dict holds the table every kind has now read
-            mp.setattr(liouvillian, "_build_term_table", no_build)
+            # one layout build per fresh dict, whatever the generator kinds
+            assert built == [case[-1]] * len(names)
+            # the last dict holds the layout every kind has now read
+            mp.setattr(liouvillian, "_build_layout", no_build)
             warm = every_generator(case)
         assert warm.keys() == cold.keys()
         for name, mat in warm.items():
-            for got, want in zip(csr_arrays(mat), csr_arrays(cold[name])):
+            for got, want in zip(csr_bits(mat), csr_bits(cold[name])):
                 assert np.array_equal(got, want), name
 
     def test_consumers_leave_the_shared_table_unchanged(self, monkeypatch):
-        def snapshot(table):
-            return {
-                key: [arr.copy() for arr in csr_arrays(mat)]
-                for terms in table
-                for key, mat in terms.items()
-            }
-
         monkeypatch.setattr(liouvillian, "_TERM_TABLES", {})
+        monkeypatch.setattr(spectral, "_T1_CONSTANTS", {})
         params = make_params(kappa_a=0.002, nbar_c0=0.08, nbar_a0=0.02)
         case = (params, TermToggles(), DriveParams(0.03, -0.3), TruncatedSpace((4, 3)))
         table = liouvillian._term_table(case[-1])
-        before = snapshot(table)
+        constants = spectral._t1_constants(case[-1])
+        shared = shared_arrays(case[-1])
+        assert not [key for key, arr in shared.items() if arr.flags.writeable]
+        before = {key: arr.copy() for key, arr in shared.items()}
         for bundle in all_builders(*case).values():
-            t1_rate_diag(bundle)
+            t1_rate_fit(bundle, t1_rate_diag(bundle).rho_ss)
         blackbox_perturbation_parts(polariton_frame(params), case[-1])
         assert liouvillian._term_table(case[-1]) is table
-        after = snapshot(table)
+        assert spectral._t1_constants(case[-1]) is constants
+        after = shared_arrays(case[-1])
         assert after.keys() == before.keys()
-        for key, arrays in after.items():
-            for got, want in zip(arrays, before[key]):
-                assert np.array_equal(got, want), key
+        for key, arr in after.items():
+            assert np.array_equal(arr, before[key]), key
+        with pytest.raises(ValueError, match="read-only"):
+            shared["n_a values"][0] = 2.0
+
+
+def variants(case):
+    """The coefficient maps of every generator kind around one drawn case,
+    each with the generator the package builds from it: both detuning
+    signs, the drawn and zero bath occupancies (so heat terms drop out),
+    the drawn toggles and each toggle switched off alone, and the three
+    perturbation parts."""
+    params, toggles, drive, space = case
+    off = [replace(TermToggles(), **{f"include_{name}": False})
+           for name in ("crs", "nc", "cd", "drive")]
+    for omega_a in (params.omega_a, -params.omega_a):
+        signed = replace(params, omega_a=omega_a)
+        cold = replace(signed, nbar_a0=0.0, nbar_c0=0.0)
+        dframe = displaced_frame(cold, drive)
+        for p in (signed, cold):
+            frame = polariton_frame(p)
+            yield "bare", liouvillian._bare_coefficients(p), build_bare(p, space)
+            full = liouvillian._polariton_coefficients(frame)
+            for t in (toggles, *off):
+                yield (f"blackbox {t}", liouvillian._toggled(full, t),
+                       build_blackbox(frame, p, space, t))
+            parts = blackbox_perturbation_parts(frame, space)
+            for name, part in parts.items():
+                keys = liouvillian._TOGGLED_TERMS[name]
+                yield f"part {name}", {k: full[k] for k in keys}, part
+        for t in (toggles, *off):
+            yield (f"displaced {t}",
+                   liouvillian._toggled(liouvillian._displaced_coefficients(dframe), t),
+                   build_displaced(dframe, cold, space, t))
+
+
+class TestLayoutSum:
+    # the reference adds the same unit terms as sparse matrices, term by
+    # term; 20 examples of about 80 generators each keep this near 3 s
+    @settings(max_examples=20, deadline=None)
+    @given(dispersive_cases())
+    def test_layout_sum_matches_sparse_sum_bit_for_bit(self, case):
+        space = case[-1]
+        table = liouvillian._unit_terms(space)
+        for name, coeffs, built in variants(case):
+            want = term_sum(table, coeffs)
+            got = built.data if name.startswith("part") else built.superop.data
+            for g, w in zip(csr_bits(got), csr_bits(want)):
+                assert np.array_equal(g, w), name
+        frame = polariton_frame(case[0])
+        for dim, omega, kerr, kappa, nbar in (
+            (space.dims[0], frame.omega_c_t, 0.0, frame.kappa_c_t, frame.n_c_t),
+            (space.dims[1], frame.omega_a_t, frame.chi_aa, frame.kappa_a_t, frame.n_a_t),
+        ):
+            one_mode = liouvillian._unit_terms(TruncatedSpace((dim,)))
+            coeffs = {"n_m": omega, "kerr_m": kerr,
+                      **liouvillian._bath_coefficients("m", kappa, nbar)}
+            want = term_sum(one_mode, coeffs).toarray()
+            got = decoupled_block(dim, omega, kerr, kappa, nbar)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), dim
+
+    @pytest.mark.parametrize("dissipators", [{}, {"decay_c": 0.01}, {"heat_a": 0.001}])
+    def test_signed_zeros_of_an_imaginary_drive(self, dissipators):
+        # a drive coefficient with no real part leaves -0 imaginary parts in
+        # -i[h, .]; the first sparse addition of a dissipator turns them to +0
+        space = TruncatedSpace((3, 3))
+        coeffs = {"n_a": 0.3, "drive": 0.02j, "drive_dag": -0.02j, **dissipators}
+        got = liouvillian._term_sum(liouvillian._term_table(space), coeffs)
+        want = term_sum(liouvillian._unit_terms(space), coeffs)
+        for g, w in zip(csr_bits(got), csr_bits(want)):
+            assert np.array_equal(g, w)
+        negative_zeros = np.signbit(want.data.imag[want.data.imag == 0]).sum()
+        assert (negative_zeros > 0) == (not dissipators)
+
+    def test_every_unit_term_is_real(self):
+        for dims in ((2, 2), (4, 3), (3,)):
+            for terms in liouvillian._unit_terms(TruncatedSpace(dims)):
+                for key, mat in terms.items():
+                    assert not np.any(mat.data.imag), (dims, key)

@@ -831,6 +831,50 @@ class TestPopulationSector:
         assert sizes == {"search": [110], "steady": [900]}
 
 
+class TestCutoffConstants:
+    @pytest.mark.parametrize("kind", ["blackbox", "displaced"])
+    def test_rates_are_bitwise_equal_on_cold_and_warm_constants(self, monkeypatch, kind):
+        # the qubit operators and the population mask come from a per-space
+        # dict; the first call of a space builds them, later calls reuse them
+        if kind == "blackbox":
+            bundle = blackbox((4, 3), kappa_a=0.001, nbar_c0=0.1)
+        else:
+            params = make_params(U=0.1)
+            driven = displaced_frame(params, DriveParams(0.05, -0.1))
+            bundle = build_displaced(driven, params, TruncatedSpace((4, 3)))
+        monkeypatch.setattr(purcell_lab.spectral, "_T1_CONSTANTS", {})
+        runs = []
+        for _ in range(2):
+            diag = t1_rate_diag(bundle)
+            fit = t1_rate_fit(bundle, diag.rho_ss)
+            runs.append((diag, fit))
+            assert list(purcell_lab.spectral._T1_CONSTANTS) == [bundle.space]
+        (cold_diag, cold_fit), (warm_diag, warm_fit) = runs
+        for got, want in (
+            (warm_diag.rho_ss, cold_diag.rho_ss),
+            (warm_diag.mode.right, cold_diag.mode.right),
+            (warm_diag.mode.left, cold_diag.mode.left),
+        ):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert (warm_diag.gamma, warm_diag.gamma_by_weight) == (
+            cold_diag.gamma, cold_diag.gamma_by_weight
+        )
+        assert warm_fit == cold_fit
+
+    def test_fit_reads_the_cached_number_operator(self, monkeypatch):
+        bundle = blackbox((4, 3), kappa_a=0.001, nbar_c0=0.1)
+        rho_ss = t1_rate_diag(bundle).rho_ss
+
+        def no_ladder(space, mode):
+            raise AssertionError("qubit operators built again")
+
+        monkeypatch.setattr(purcell_lab.spectral, "ladder_operators", no_ladder)
+        fit = t1_rate_fit(bundle, rho_ss)
+        number = purcell_lab.spectral._t1_constants(bundle.space)[2]
+        assert np.array_equal(number, ladder_operators(bundle.space, 1)[2].toarray())
+        assert fit.gamma > 0
+
+
 class TestEvolve:
     def test_single_mode_decay(self):
         space = TruncatedSpace((2, 3))
