@@ -15,13 +15,13 @@ times are kept on the in-memory rows and reported on stdout only.
 from __future__ import annotations
 
 import argparse
+import contextvars
 import ctypes
 import json
 import math
 import os
 import re
 import sys
-import threading
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor, as_completed
@@ -398,12 +398,16 @@ def _flag_text(message) -> str:
     return text.replace(",", "|").replace(";", "|")
 
 
-# Warnings of the grid point running on this thread; None outside a point.
-_point_warnings = threading.local()
+# Warnings of the grid point running in this context; None outside a point.
+# A context variable, not a thread-local, so a solver's helper thread that
+# runs in a copy of the point's context records into the point's list.
+_point_warnings: contextvars.ContextVar[list | None] = contextvars.ContextVar(
+    "_point_warnings", default=None
+)
 
 
 def _record_warning(message, *_):
-    caught = getattr(_point_warnings, "caught", None)
+    caught = _point_warnings.get()
     if caught is not None:
         caught.append(message)
 
@@ -415,7 +419,7 @@ def _run_point(config: ScenarioConfig, value: float) -> SweepRow:
     start = time.perf_counter()
     flags: list[str] = []
     caught: list = []
-    _point_warnings.caught = caught
+    token = _point_warnings.set(caught)
     gamma_fit = None
     try:
         bundle, analytic, regime = _build_point(config, value, config.truncation)
@@ -433,7 +437,7 @@ def _run_point(config: ScenarioConfig, value: float) -> SweepRow:
         gamma_diag = total = base = nc_nc = nc_cd = cd_cd = math.nan
         gamma_fit = None
     finally:
-        _point_warnings.caught = None
+        _point_warnings.reset(token)
     flags.extend("warn: " + _flag_text(m) for m in caught)
     return SweepRow(
         value=value,

@@ -14,13 +14,18 @@ from a 6-mode window, widened only when the window cannot answer the
 selection (no adjoint partner, no zero mode, or no excited population mode
 above ``WEIGHT_FLOOR``), and that window's zero mode is the steady state.
 Its one LU per shift is of the shifted generator in reverse Cuthill-McKee
-order.  `spectrum` also returns T2 modes, so it keeps the full generator:
-dense up to the limit, above it a ``max(count + 4, 12)`` window.
+order, with threshold partial pivoting, and serves the forward and the
+adjoint window of each round; above ``_DENSE_LIMIT`` the two ARPACK solves
+run at once, the adjoint one on a helper thread.  `spectrum` also returns
+T2 modes, so it keeps the full generator: dense up to the limit, above it a
+``max(count + 4, 12)`` window.
 """
 
 from __future__ import annotations
 
+import contextvars
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +46,10 @@ from .liouvillian import GeneratorBundle
 # Superoperator dimension up to which a closed population block is searched,
 # and its steady state solved, by dense eigensolvers, and up to which
 # `spectrum` decomposes the full generator; other searches are shift-invert.
+# A shift-invert search of a matrix larger than this runs its forward and
+# adjoint ARPACK solves at once on two threads; smaller ones (the closed
+# population blocks, 218 and 472 components at (8,6) and (10,8)) gain less
+# from the overlap than a thread costs, and run them in turn.
 _DENSE_LIMIT = 1300
 # Relative eigenvalue spacing below which modes are treated as one
 # near-degenerate cluster during biorthonormalization.
@@ -134,43 +143,64 @@ def coherence_sectors(space: TruncatedSpace) -> np.ndarray:
 
 
 def _shift_invert(mat, sigma):
-    """``eigs(k, adjoint=False)``: shift-invert ARPACK near ``sigma``.
+    """``eigs(k)``: the ``k``-mode shift-invert ARPACK windows near
+    ``sigma`` of ``mat`` and of its adjoint, ``(wr, vr, wl, vl)``.
 
-    One sparse LU of ``mat - sig I`` serves forward and adjoint calls (the
-    adjoint at ``conj(sig)``).  The generator couples each component only
-    to its neighbours on the grid of Fock indices, so the LU is of the
-    shifted matrix in reverse Cuthill-McKee order, ``P (mat - sig I) P^T``,
-    factored in that column order with SuperLU's partial pivoting; on a
-    driven generator the bandwidth-reducing order leaves about a third less
-    fill than scipy's default column order.  The permutation comes from the
-    pattern of ``mat + mat^T`` once per call, since a shift changes only the
-    diagonal, and a solve permutes in and out, which is exact for the
-    adjoint too.  A singular LU or an ARPACK failure nudges the shift off
-    the real axis and factors again; three failures in one call raise.
+    One sparse LU of ``mat - sig I`` serves both solves (the adjoint at
+    ``conj(sig)``) and every later call at the same shift.  The generator
+    couples each component only to its neighbours on the grid of Fock
+    indices, so the LU is of the shifted matrix in reverse Cuthill-McKee
+    order, ``P (mat - sig I) P^T``, factored in that column order with
+    SuperLU's threshold partial pivoting (a diagonal pivot within a factor
+    10 of the column's largest entry is kept); on a driven generator the
+    bandwidth-reducing order leaves about a third less fill than scipy's
+    default column order, and the threshold a little less again.  The
+    permutation comes from the pattern of ``mat + mat^T`` once per call,
+    since a shift changes only the diagonal, and a solve permutes in and
+    out, which is exact for the adjoint too.  Above ``_DENSE_LIMIT`` the
+    adjoint solve runs on one helper thread, in a copy of the caller's
+    context, while the forward solve runs on the caller, both on the same
+    read-only LU (SuperLU's solve releases the GIL); smaller matrices solve
+    in turn, since a thread costs more than the overlap saves there.  A
+    singular LU or an ARPACK failure in either direction nudges the shift
+    off the real axis, factors again and reruns both; three failures in
+    one call raise.
     """
     dim = mat.shape[0]
     v0 = np.ones(dim) / np.sqrt(dim)
     pattern = abs(mat)
     perm = reverse_cuthill_mckee((pattern + pattern.T).tocsr(), symmetric_mode=True)
     inv = np.argsort(perm)
+    mat_h = spla.aslinearoperator(mat).H
     sig, lu = sigma, None
 
-    def eigs(k, adjoint=False):
+    def window(factor, a, shift, trans, k):
+        op = spla.LinearOperator(
+            mat.shape, lambda x: factor.solve(x[perm], trans)[inv], dtype=mat.dtype
+        )
+        return spla.eigs(a, k=k, sigma=shift, v0=v0, OPinv=op)
+
+    def eigs(k):
         nonlocal sig, lu
         for _ in range(3):
             try:
                 if lu is None:
                     shifted = (mat - sig * sp.eye(dim)).tocsc()
-                    lu = spla.splu(shifted[perm][:, perm], permc_spec="NATURAL")
-                trans, a, shift = (
-                    ("H", spla.aslinearoperator(mat).H, np.conj(sig))
-                    if adjoint else ("N", mat, sig)
-                )
-                op = spla.LinearOperator(
-                    mat.shape, lambda x: lu.solve(x[perm], trans)[inv],
-                    dtype=mat.dtype,
-                )
-                return spla.eigs(a, k=k, sigma=shift, v0=v0, OPinv=op)
+                    lu = spla.splu(
+                        shifted[perm][:, perm], permc_spec="NATURAL",
+                        diag_pivot_thresh=0.1,
+                    )
+                right = (lu, mat, sig, "N", k)
+                left = (lu, mat_h, np.conj(sig), "H", k)
+                if dim <= _DENSE_LIMIT:
+                    return (*window(*right), *window(*left))
+                # the helper runs in a copy of this context, so the caller's
+                # warning capture sees its warnings; leaving the block waits
+                # for it, so a retry never refactors under a running solve
+                with ThreadPoolExecutor(max_workers=1) as helper:
+                    run = contextvars.copy_context().run
+                    future = helper.submit(run, window, *left)
+                    return (*window(*right), *future.result())
             except (RuntimeError, spla.ArpackError, np.linalg.LinAlgError) as exc:
                 last, lu = exc, None
                 sig = sig * (1 + 1e-3) + 1e-3j * max(abs(sigma), 1e-12)
@@ -320,7 +350,9 @@ def _eigenmodes(
     ``k`` (up to ``dim - 2``) for at most two more rounds while a kept
     forward eigenvalue has no adjoint partner or ``select`` raises
     `_NarrowWindow`, and factors ``lop - sigma I`` once for the forward and
-    adjoint solves of every round.
+    adjoint solves of every round; each round takes both windows from one
+    `_shift_invert` call, which solves them at once when ``lop`` is larger
+    than ``_DENSE_LIMIT``.
     """
     dim = lop.shape[0]
     mag = bundle.superop.max_abs()
@@ -354,8 +386,7 @@ def _eigenmodes(
     # eigenvalues sit at their outer edge, and a small window may miss the
     # modes the caller needs; widen both until neither happens.
     for last in (False, False, True):
-        wr, vr = eigs(k)
-        wl, vl = eigs(k, adjoint=True)
+        wr, vr, wl, vl = eigs(k)
         order = np.argsort(np.abs(wr.real), kind="stable")[:count]
         lams = wr[order]
         gap = np.abs(np.conj(wl)[None, :] - lams[:, None])

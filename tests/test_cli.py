@@ -521,6 +521,65 @@ class TestOverlappedPrecheck:
         assert len(started) <= 1 + jobs
 
 
+class TestOverlappedSolves:
+    """A driven (8, 6) point searches its full generator, above the dense
+    limit, so its adjoint ARPACK solve runs on a helper thread beside the
+    forward one at any ``jobs``; rows do not depend on that."""
+
+    def sweep(self, jobs, grid):
+        config = make_config(
+            truncation=[8, 6],
+            model={"U": 0.1},
+            sweep={"variable": "drive_photons", "grid": grid},
+            drive={"omega_D": -0.1},
+        )
+        rows, _ = run_scenario(config_from_dict(config), jobs)
+        return [replace(r, wall_time_s=0.0) for r in rows]
+
+    def test_rows_do_not_depend_on_jobs(self):
+        serial = self.sweep(1, [0.0, 10.0])
+        assert serial[0].converged
+        flags = [f for r in serial for f in r.flags]
+        assert not any(f.startswith(("error:", "warn:")) for f in flags)
+        assert self.sweep(2, [0.0, 10.0]) == serial
+
+    def test_helper_thread_warnings_reach_the_row(self, monkeypatch):
+        # the (10, 8) precheck solves above the limit too, but its warnings
+        # are dropped; it is solved once and reused
+        precheck, memo = purcell_lab.cli._convergence_precheck, {}
+
+        def reused(config):
+            if config not in memo:
+                memo[config] = precheck(config)
+            return memo[config]
+
+        eigs = purcell_lab.spectral.spla.eigs
+        on_caller = []
+
+        def adjoint_warns(a, **kwargs):
+            adjoint = isinstance(a, purcell_lab.spectral.spla.LinearOperator)
+            if adjoint:
+                warnings.warn("injected adjoint warning")
+            on_caller.append((adjoint, threading.current_thread() is caller))
+            return eigs(a, **kwargs)
+
+        monkeypatch.setattr(purcell_lab.cli, "_convergence_precheck", reused)
+        monkeypatch.setattr(purcell_lab.spectral.spla, "eigs", adjoint_warns)
+        caller = threading.current_thread()
+        runs = {jobs: self.sweep(jobs, [10.0]) for jobs in (1, 2)}
+        # at jobs 1 the point's forward solve ran here, its adjoint did not
+        assert (True, True) not in on_caller and (False, True) in on_caller
+        monkeypatch.setattr(purcell_lab.spectral, "_DENSE_LIMIT", 2305)
+        on_caller.clear()
+        serial_path = self.sweep(1, [10.0])
+        assert (True, True) in on_caller
+        assert runs[1] == runs[2] == serial_path
+        (row,) = serial_path
+        assert [f for f in row.flags if f.startswith("warn:")] == [
+            "warn: injected adjoint warning"
+        ]
+
+
 def blas_counts() -> list[int]:
     return [get() for get, _ in _openblas_threads()]
 

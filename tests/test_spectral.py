@@ -1,6 +1,7 @@
 """Tests for steady states, spectra, labels, and the two rate protocols."""
 
 import json
+import threading
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -268,15 +269,25 @@ def driven_bundle():
     return build_displaced(frame, params, TruncatedSpace((4, 4)))
 
 
+def is_adjoint(a):
+    """Whether an `eigs` operand is the sparse path's adjoint operator (a
+    LinearOperator) rather than the sparse matrix of the forward solve."""
+    return isinstance(a, scipy.sparse.linalg.LinearOperator)
+
+
 class TestShiftInvert:
     """The sparse path factors each shift once for the forward and the
-    adjoint solve, and factors again only at a nudged shift."""
+    adjoint solve, and factors again only at a nudged shift.  With the
+    dense limit at 0 the two solves of a round run at once, so a test tells
+    them apart by the operator each runs on, not by call order."""
 
     @pytest.fixture
     def solver_calls(self, monkeypatch):
         """Counted `splu` and `eigs` of the sparse path, with the dense path
         switched off; `splu` records each matrix and its factor in `lu`, and
-        `fail` makes that many next `splu` calls raise."""
+        `fail` makes that many next `splu` calls raise.  Each `eigs` entry is
+        the call's keyword arguments plus ``adjoint``, whether it ran on the
+        adjoint operator."""
         spla = purcell_lab.spectral.spla
         splu, eigs = spla.splu, spla.eigs
         calls = {"splu": [], "lu": [], "eigs": [], "fail": 0}
@@ -290,13 +301,21 @@ class TestShiftInvert:
             return calls["lu"][-1]
 
         def counted_eigs(a, **kwargs):
-            calls["eigs"].append(kwargs)
+            calls["eigs"].append(dict(kwargs, adjoint=is_adjoint(a)))
             return eigs(a, **kwargs)
 
         monkeypatch.setattr(spla, "splu", counted_splu)
         monkeypatch.setattr(spla, "eigs", counted_eigs)
         monkeypatch.setattr(purcell_lab.spectral, "_DENSE_LIMIT", 0)
         return calls
+
+    @staticmethod
+    def by_direction(eigs_calls):
+        """The recorded forward calls, then the adjoint ones, each in order."""
+        return (
+            [c for c in eigs_calls if not c["adjoint"]],
+            [c for c in eigs_calls if c["adjoint"]],
+        )
 
     @staticmethod
     def assert_matches_dense(modes, bundle):
@@ -313,7 +332,7 @@ class TestShiftInvert:
         sparse = spectrum(bundle, count=8)
         assert len(solver_calls["splu"]) == 1
         assert len(solver_calls["eigs"]) == 2
-        forward, adjoint = solver_calls["eigs"]
+        (forward,), (adjoint,) = self.by_direction(solver_calls["eigs"])
         assert adjoint["sigma"] == np.conj(forward["sigma"])
         self.assert_matches_dense(sparse, bundle)
 
@@ -327,7 +346,8 @@ class TestShiftInvert:
         mat = driven_bundle().superop.data.tocsc()
         sig = purcell_lab.spectral.SPARSE_SHIFT * 1e-4
         v0 = np.ones(mat.shape[0]) / np.sqrt(mat.shape[0])
-        w, v = purcell_lab.spectral._shift_invert(mat, sig)(k=6, adjoint=adjoint)
+        wr, vr, wl, vl = purcell_lab.spectral._shift_invert(mat, sig)(k=6)
+        w, v = (wl, vl) if adjoint else (wr, vr)
         ref, ref_sig = (mat.conj().T.tocsc(), np.conj(sig)) if adjoint else (mat, sig)
         w_ref, v_ref = scipy.sparse.linalg.eigs(ref, k=6, sigma=ref_sig, v0=v0)
         theta, theta_ref = 1 / (w - ref_sig), 1 / (w_ref - ref_sig)
@@ -355,9 +375,12 @@ class TestShiftInvert:
     def test_widening_round_reuses_the_factorization(self, solver_calls, monkeypatch):
         eigs = purcell_lab.spectral.spla.eigs
 
+        missed = []
+
         def first_adjoint_misses(a, **kwargs):
             w, v = eigs(a, **kwargs)
-            if len(solver_calls["eigs"]) == 2:  # the first adjoint solve
+            if is_adjoint(a) and not missed:  # the first adjoint solve
+                missed.append(True)
                 w = w + 1.0
             return w, v
 
@@ -377,7 +400,7 @@ class TestShiftInvert:
 
         def every_adjoint_misses(a, **kwargs):
             w, v = eigs(a, **kwargs)
-            if len(solver_calls["eigs"]) % 2 == 0:
+            if is_adjoint(a):
                 w = w + 1.0
             else:
                 forward.append(w)
@@ -409,7 +432,7 @@ class TestShiftInvert:
         # mode search's one LU and its two ARPACK solves serve the point
         t1_rate_diag(driven_bundle())
         assert len(solver_calls["splu"]) == 1
-        forward, adjoint = solver_calls["eigs"]
+        (forward,), (adjoint,) = self.by_direction(solver_calls["eigs"])
         assert adjoint["sigma"] == np.conj(forward["sigma"])
 
     @pytest.mark.parametrize("dims,dense_limit", [((8, 6), 0), ((6, 5), DENSE_LIMIT)])
@@ -454,7 +477,7 @@ class TestShiftInvert:
 
         def first_forward_drops_population(a, **kwargs):
             w, v = eigs(a, **kwargs)
-            if len(solver_calls["eigs"]) == 1:
+            if not is_adjoint(a) and not dropped:  # the first forward solve
                 p = np.abs(v) ** 2
                 drop = (np.abs(w) > 1e-6 * bundle.t1_rate_scale) & (
                     p[population].sum(0) >= SUPPORT_FRACTION * p.sum(0)
@@ -487,7 +510,7 @@ class TestShiftInvert:
             assert solver_calls["splu"] == [] and solver_calls["eigs"] == []
         else:
             assert [lu.shape for lu in solver_calls["splu"]] == [(block, block)]
-            forward, adjoint = solver_calls["eigs"]
+            (forward,), (adjoint,) = self.by_direction(solver_calls["eigs"])
             assert adjoint["sigma"] == np.conj(forward["sigma"])
 
     def test_failed_factorization_moves_the_shift(self, solver_calls):
@@ -499,7 +522,8 @@ class TestShiftInvert:
         first, second = solver_calls["splu"]
         shift = (first - second).diagonal()
         assert np.allclose(shift, nudged - sig, rtol=0, atol=1e-15)
-        assert [kwargs["sigma"] for kwargs in solver_calls["eigs"]] == [
+        forward, adjoint = self.by_direction(solver_calls["eigs"])
+        assert [kwargs["sigma"] for kwargs in forward + adjoint] == [
             nudged, np.conj(nudged)
         ]
         self.assert_matches_dense(sparse, bundle)
@@ -510,6 +534,82 @@ class TestShiftInvert:
             spectrum(driven_bundle(), count=8)
         assert len(solver_calls["splu"]) == 3
         assert solver_calls["eigs"] == []
+
+    def test_overlapped_and_serial_solves_give_the_same_bits(self, monkeypatch):
+        # above the dense limit the adjoint solve runs on a helper thread;
+        # with the limit raised past the dimension (an open generator never
+        # goes dense) the two solves run in turn on the caller, on an LU of
+        # the same bits, so every number of the point is bit-identical
+        bundle = drive_sweep_point(10.0, (8, 6))
+        eigs = purcell_lab.spectral.spla.eigs
+        threads = []
+
+        def spy(a, **kwargs):
+            threads.append((is_adjoint(a), threading.get_ident()))
+            return eigs(a, **kwargs)
+
+        monkeypatch.setattr(purcell_lab.spectral.spla, "eigs", spy)
+        results = {}
+        for path, limit in (("overlapped", DENSE_LIMIT), ("serial", 2305)):
+            monkeypatch.setattr(purcell_lab.spectral, "_DENSE_LIMIT", limit)
+            threads.clear()
+            results[path] = t1_rate_diag(bundle)
+            ran_on = {adjoint: ident for adjoint, ident in threads}
+            assert len(threads) == 2 and set(ran_on) == {False, True}
+            assert ran_on[False] == threading.get_ident()
+            assert (ran_on[True] == ran_on[False]) == (path == "serial")
+        overlapped, serial = results["overlapped"], results["serial"]
+        assert overlapped.gamma == serial.gamma
+        assert overlapped.gamma_by_weight == serial.gamma_by_weight
+        assert overlapped.agree == serial.agree
+        for got, want in ((overlapped.mode, serial.mode),
+                          (overlapped.mode_by_weight, serial.mode_by_weight)):
+            assert got.lam == want.lam and got.weight == want.weight
+            assert np.array_equal(got.right, want.right)
+            assert np.array_equal(got.left, want.left)
+        assert np.array_equal(overlapped.rho_ss, serial.rho_ss)
+
+    def test_helper_failure_is_retried_at_the_nudged_shift(
+        self, solver_calls, monkeypatch
+    ):
+        eigs = purcell_lab.spectral.spla.eigs
+        raised_on = []
+
+        def first_adjoint_fails(a, **kwargs):
+            if is_adjoint(a) and not raised_on:
+                raised_on.append(threading.get_ident())
+                raise scipy.sparse.linalg.ArpackError(-9999)
+            return eigs(a, **kwargs)
+
+        monkeypatch.setattr(purcell_lab.spectral.spla, "eigs", first_adjoint_fails)
+        bundle = driven_bundle()
+        sparse = spectrum(bundle, count=8)
+        (helper,) = raised_on
+        assert helper != threading.get_ident()
+        sig = purcell_lab.spectral.SPARSE_SHIFT * bundle.t1_rate_scale
+        nudged = sig * (1 + 1e-3) + 1e-3j * abs(sig)
+        assert len(solver_calls["splu"]) == 2
+        forward, adjoint = self.by_direction(solver_calls["eigs"])
+        assert [kwargs["sigma"] for kwargs in forward] == [sig, nudged]
+        assert [kwargs["sigma"] for kwargs in adjoint] == [np.conj(nudged)]
+        self.assert_matches_dense(sparse, bundle)
+
+    def test_three_helper_failures_raise(self, solver_calls, monkeypatch):
+        eigs = purcell_lab.spectral.spla.eigs
+
+        def every_adjoint_fails(a, **kwargs):
+            if is_adjoint(a):
+                raise scipy.sparse.linalg.ArpackError(-9999)
+            return eigs(a, **kwargs)
+
+        monkeypatch.setattr(purcell_lab.spectral.spla, "eigs", every_adjoint_fails)
+        with pytest.raises(
+            RuntimeError, match="sparse eigensolver failed near shift.*-9999"
+        ):
+            spectrum(driven_bundle(), count=8)
+        assert len(solver_calls["splu"]) == 3
+        forward, adjoint = self.by_direction(solver_calls["eigs"])
+        assert len(forward) == 3 and adjoint == []
 
 
 class TestBlockLabels:
