@@ -19,7 +19,13 @@ sparsity pattern for every term, each term as positions and real values
 on it (:func:`_build_layout`).  The sum over it (:func:`_term_sum`) is a
 few scatter-adds on one data vector, in the same order for every
 generator, and gives the same CSR arrays, bit for bit, as adding the
-terms as sparse matrices one by one.
+terms as sparse matrices one by one.  A second layout per cutoff is the
+first restricted to the population block M = 0 (M is the ket's excitation
+number minus the bra's), with the keys of the terms that join that block
+to the rest (:func:`_build_block_layout`); the same sum over it gives the
+block of a generator whose nonzero terms leave it closed, bit for bit
+equal to the slice of the full generator.  A bundle from a builder keeps
+its coefficient map and assembles the full generator on first use.
 """
 
 from __future__ import annotations
@@ -57,23 +63,30 @@ class TermToggles:
     include_drive: bool = True
 
 
-@dataclass(frozen=True)
 class GeneratorBundle:
     """A generator plus the context it was built in.
 
     basis is one of "bare", "blackbox", "displaced".  frame is the
     PolaritonFrame (bare/blackbox) or DisplacedFrame (displaced) whose
-    constants parameterize the generator.
+    constants parameterize the generator.  A bundle from a builder holds
+    its space and coefficient map ``coeffs`` and assembles ``superop``, the
+    sum over the space's layout, on first access; one made from an
+    explicit ``superop`` has ``coeffs`` None.
     """
 
-    superop: Superoperator
-    frame: object
-    basis: str
-    params: SystemParams
+    def __init__(self, superop: Superoperator | None, frame: object, basis: str,
+                 params: SystemParams, *, space: TruncatedSpace | None = None,
+                 coeffs: dict[str, complex] | None = None):
+        self.frame, self.basis, self.params, self.coeffs = frame, basis, params, coeffs
+        self.space = space if superop is None else superop.space
+        self._superop = superop
 
     @property
-    def space(self) -> TruncatedSpace:
-        return self.superop.space
+    def superop(self) -> Superoperator:
+        # a concurrent first access only assembles the same generator twice
+        if self._superop is None:
+            self._superop = _generator(self.space, self.coeffs)
+        return self._superop
 
     @property
     def t1_rate_scale(self) -> float:
@@ -184,8 +197,11 @@ def _build_layout(space: TruncatedSpace) -> tuple:
     superoperator term and of -i[h, .] for h on the union pattern of the
     operator terms.  Each term maps to ``(positions, values)``: int32
     positions into its pattern and float64 values (every term is real).
-    ``lift`` holds the positions of h's entries in the left and right
-    multiplications 1 (x) h and h^T (x) 1, each of shape (N, entries of h).
+    ``lift`` is ``(entries, index, left, right)``: h has ``entries``
+    entries, and entry ``index[j]`` sits at ``left[i, j]`` in the left
+    multiplication 1 (x) h and at ``right[i, j]`` in the right one
+    h^T (x) 1 (here ``index`` is every entry and ``left``/``right`` have
+    shape (N, entries)).
     """
     n = space.total_dim
     n2 = n * n
@@ -214,17 +230,72 @@ def _build_layout(space: TruncatedSpace) -> tuple:
     pattern = np.concatenate([*lift, *(k for k, _ in sops.values())], axis=None)
     pattern.sort()  # in place: np.unique would sort a copy
     pattern = pattern[np.concatenate(([True], pattern[1:] != pattern[:-1]))]
+    index = frozen(np.arange(len(h_pattern), dtype=np.int32))
     return (
         placed(np.arange(n2 + 1) * n2, pattern),
         frozen((pattern % n2).astype(np.int32)),
-        tuple(placed(k, pattern) for k in lift),
+        (len(h_pattern), index, *(placed(k, pattern) for k in lift)),
         {key: (placed(k, h_pattern), v) for key, (k, v) in ops.items()},
         {key: (placed(k, pattern), v) for key, (k, v) in sops.items()},
     )
 
 
+# The block layout of each cutoff (:func:`_build_block_layout`), kept like
+# ``_TERM_TABLES``: 0.1 MB at (8, 6) and 0.2 MB at (10, 8).
+_BLOCK_TABLES: dict[TruncatedSpace, tuple] = {}
+
+
+def _block_table(space: TruncatedSpace) -> tuple:
+    """(block layout, joining keys) of ``space``, built on the first call
+    for that space and shared afterwards, read-only."""
+    table = _BLOCK_TABLES.get(space)
+    if table is None:
+        table = _BLOCK_TABLES[space] = _build_block_layout(space)
+    return table
+
+
+def _build_block_layout(space: TruncatedSpace) -> tuple[tuple, frozenset[str]]:
+    """The layout of :func:`_term_table` restricted to the rows and columns
+    of the population block M = 0, in their order, and the keys of the
+    terms with an entry joining that block to the rest.
+
+    Its ``lift`` keeps, flat, the (component, entry of h) pairs that fall
+    in the block; the operator terms, and so h, are shared.  Each kept
+    entry gets the sums of the full layout in the same order, so
+    :func:`_term_sum` over it gives the slice of the full generator.
+    """
+    indptr, indices, (entries, index, left, right), operators, superoperators = (
+        _term_table(space)
+    )
+    excitations = [sum(space.occupations(i)) for i in range(space.total_dim)]
+    population = np.equal.outer(excitations, excitations).ravel()
+    rows = np.repeat(population, np.diff(indptr))  # of each stored entry
+    inside, joins = rows & population[indices], rows != population[indices]
+    at = np.concatenate(([0], np.cumsum(inside))).astype(np.int32)  # block position
+    # h's entry (r, c) at component i is in the block when r, c and i have
+    # one excitation number, on the left and on the right alike
+    kept = inside[left]
+    layout = (
+        at[indptr[np.append(np.flatnonzero(population), len(population))]],
+        (np.cumsum(population) - 1)[indices[inside]].astype(np.int32),
+        (entries, np.broadcast_to(index, left.shape)[kept], at[left[kept]],
+         at[right[kept]]),
+        operators,
+        {key: (at[pos[inside[pos]]], values[inside[pos]])
+         for key, (pos, values) in superoperators.items()},
+    )
+    terms = [arr for term in layout[4].values() for arr in term]
+    for arr in (*layout[:2], *layout[2][1:], *terms):
+        arr.flags.writeable = False
+    joining = {key for key, (pos, _) in superoperators.items() if joins[pos].any()}
+    joining.update(key for key, (pos, _) in operators.items()
+                   if joins[left[:, pos]].any() or joins[right[:, pos]].any())
+    return layout, frozenset(joining)
+
+
 def _term_sum(layout: tuple, coeffs: dict[str, complex]) -> sp.csr_matrix:
-    """sum_k c_k S_k over the layout, in the order of ``coeffs``.
+    """sum_k c_k S_k over the layout (or the block layout), in the order of
+    ``coeffs``.
 
     The Hamiltonian part is taken as -i[sum_k c_k O_k, .], equal to
     sum_k c_k S_k by linearity but rounded like the operator-level
@@ -235,12 +306,13 @@ def _term_sum(layout: tuple, coeffs: dict[str, complex]) -> sp.csr_matrix:
     over the layout's pattern and give the values, signed zeros and pattern
     of the same sums taken term by term in scipy.sparse.
     """
-    indptr, indices, (left, right), operators, superoperators = layout
-    h = np.zeros(left.shape[1], dtype=complex)
+    indptr, indices, (entries, index, left, right), operators, superoperators = layout
+    h = np.zeros(entries, dtype=complex)
     for key, coeff in coeffs.items():
         if coeff != 0 and key in operators:
             pos, values = operators[key]
             h[pos] += coeff * values
+    h = h[index]
     data = np.zeros(len(indices), dtype=complex)
     data[left] += h
     data[right] -= h
@@ -323,10 +395,8 @@ def _displaced_coefficients(dframe: DisplacedFrame) -> dict[str, complex]:
 def build_bare(params: SystemParams, space: TruncatedSpace) -> GeneratorBundle:
     """Lab-frame generator: bare Hamiltonian plus independent thermal baths."""
     return GeneratorBundle(
-        superop=_generator(space, _bare_coefficients(params)),
-        frame=polariton_frame(params),
-        basis="bare",
-        params=params,
+        None, polariton_frame(params), "bare", params,
+        space=space, coeffs=_bare_coefficients(params),
     )
 
 
@@ -343,12 +413,7 @@ def build_blackbox(
     toggles.
     """
     coeffs = _toggled(_polariton_coefficients(frame), toggles)
-    return GeneratorBundle(
-        superop=_generator(space, coeffs),
-        frame=frame,
-        basis="blackbox",
-        params=params,
-    )
+    return GeneratorBundle(None, frame, "blackbox", params, space=space, coeffs=coeffs)
 
 
 def blackbox_perturbation_parts(
@@ -383,9 +448,4 @@ def build_displaced(
             "got nbar_a0={}, nbar_c0={}".format(params.nbar_a0, params.nbar_c0)
         )
     coeffs = _toggled(_displaced_coefficients(dframe), toggles)
-    return GeneratorBundle(
-        superop=_generator(space, coeffs),
-        frame=dframe,
-        basis="displaced",
-        params=params,
-    )
+    return GeneratorBundle(None, dframe, "displaced", params, space=space, coeffs=coeffs)

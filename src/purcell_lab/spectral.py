@@ -41,7 +41,7 @@ from .fockspace import (
     unvectorize,
     vectorize,
 )
-from .liouvillian import GeneratorBundle
+from .liouvillian import GeneratorBundle, _block_table, _term_sum
 
 # Superoperator dimension up to which a closed population block is searched,
 # and its steady state solved, by dense eigensolvers, and up to which
@@ -227,7 +227,7 @@ def _zero_mode_state(bundle: GeneratorBundle, lams, rights, idx=None) -> np.ndar
         raise error(
             f"{what}: {zero.sum()} eigenvalues within 1e-6 * {scale:.3e} of zero"
         )
-    vec = _embed(rights[:, np.argmax(zero)], idx, bundle.superop.data.shape[0])
+    vec = _embed(rights[:, np.argmax(zero)], idx, bundle.space.total_dim ** 2)
     rho = unvectorize(vec, bundle.space)
     rho = 0.5 * (rho + rho.conj().T)
     tr = np.trace(rho)
@@ -331,9 +331,25 @@ def _checked_modes(lop, lams, lefts, rights, mag: float):
     return lams, lefts, rights
 
 
+def _slowest(lams: np.ndarray, count: int | None, pairs_first: bool) -> np.ndarray:
+    """Indices of the ``count`` slowest of ``lams``, by |Re lambda| ascending
+    with ties in order; with ``pairs_first``, two neighbours that are a
+    conjugate pair with |Re lambda| equal to 1e-12 relative come Im lambda
+    > 0 first, so roundoff in Re lambda cannot swap them."""
+    order = np.argsort(np.abs(lams.real), kind="stable")
+    if pairs_first:
+        a, b = lams[order[:-1]], lams[order[1:]]
+        swap = np.flatnonzero(
+            (a.imag < 0) & (b.imag > 0) & (np.abs(a.imag + b.imag) <= 1e-12 * b.imag)
+            & (np.abs(np.abs(a.real) - np.abs(b.real)) <= 1e-12 * np.abs(b.real))
+        )
+        order[swap], order[swap + 1] = order[swap + 1], order[swap]
+    return order[:count]
+
+
 def _eigenmodes(
     bundle: GeneratorBundle, lop, dense: bool, count: int | None,
-    k: int | None = None, select=lambda *modes: modes,
+    k: int | None = None, select=lambda *modes: modes, pairs_first: bool = False,
 ):
     """Slowest biorthonormalized eigenmodes of ``lop``, the generator of
     ``bundle`` or a closed block of it (square CSR), as the solver's arrays
@@ -343,9 +359,11 @@ def _eigenmodes(
     returns them as they are).
 
     The body of `spectrum`, shared with `t1_rate_diag`'s search; each caller
-    says whether to decompose ``lop`` densely.  Tolerances and the sparse
-    shift come from the full generator, so a block is checked as strictly
-    as the whole.  The sparse path asks ARPACK for ``k`` modes (default
+    says whether to decompose ``lop`` densely.  The tolerances scale with
+    the largest entry of ``lop``, which for a block is never above the
+    full generator's, so a block is checked at least as strictly as the
+    whole; the sparse shift comes from the bundle.  ``pairs_first`` is
+    `_slowest`'s, applied before the ``count`` cut.  The sparse path asks ARPACK for ``k`` modes (default
     ``max(count + 4, 12)``) and keeps the ``count`` slowest.  It doubles
     ``k`` (up to ``dim - 2``) for at most two more rounds while a kept
     forward eigenvalue has no adjoint partner or ``select`` raises
@@ -355,7 +373,7 @@ def _eigenmodes(
     than ``_DENSE_LIMIT``.
     """
     dim = lop.shape[0]
-    mag = bundle.superop.max_abs()
+    mag = float(np.max(np.abs(lop.data))) if lop.nnz else 0.0
     if dense:
         # scipy.linalg runs on the same bundled OpenBLAS copy as ARPACK, so
         # the mode search uses one copy on either path.
@@ -371,10 +389,10 @@ def _eigenmodes(
             inv, info = getrs(lu, piv, np.eye(dim, dtype=vecs.dtype))
         if info != 0:
             raise RuntimeError("singular eigenvector matrix; generator is defective")
-        order = np.argsort(np.abs(w.real), kind="stable")[:count]
+        kept = _slowest(w, count, pairs_first)
         # the lefts are the conjugated rows of the inverse; the full-size
         # arrays go before the checks, which keeps the peak memory down
-        lams, rights, lefts = w[order], vecs[:, order], inv[order].T
+        lams, rights, lefts = w[kept], vecs[:, kept], inv[kept].T
         del vecs, lu, inv
         np.conjugate(lefts, out=lefts)
         return select(*_checked_modes(lop, lams, lefts, rights, mag))
@@ -387,13 +405,13 @@ def _eigenmodes(
     # modes the caller needs; widen both until neither happens.
     for last in (False, False, True):
         wr, vr, wl, vl = eigs(k)
-        order = np.argsort(np.abs(wr.real), kind="stable")[:count]
-        lams = wr[order]
+        kept = _slowest(wr, count, pairs_first)
+        lams = wr[kept]
         gap = np.abs(np.conj(wl)[None, :] - lams[:, None])
         partner = np.argmin(gap, axis=1)
         miss = gap.min(axis=1) > 1e-8 * np.maximum(1.0, np.abs(lams))
         if not miss.any():
-            modes = _checked_modes(lop, lams, vl[:, partner], vr[:, order], mag)
+            modes = _checked_modes(lop, lams, vl[:, partner], vr[:, kept], mag)
             try:
                 return select(*modes)
             except _NarrowWindow:
@@ -410,8 +428,9 @@ def _eigenmodes(
 def spectrum(
     bundle: GeneratorBundle, count: int | None = None
 ) -> list[SpectralMode]:
-    """Slowest eigenmodes of the generator, sorted by |Re lambda| ascending,
-    biorthonormalized.
+    """Slowest eigenmodes of the generator, sorted by |Re lambda| ascending
+    (a conjugate pair of equal |Re lambda| with its Im lambda > 0 member
+    first), biorthonormalized.
 
     The modes include T2 modes, so the full generator is searched, open or
     closed: superoperators up to ``_DENSE_LIMIT`` are diagonalized in full,
@@ -424,7 +443,7 @@ def spectrum(
     """
     data = bundle.superop.data
     lams, lefts, rights = _eigenmodes(
-        bundle, data, data.shape[0] <= _DENSE_LIMIT, count
+        bundle, data, data.shape[0] <= _DENSE_LIMIT, count, pairs_first=True
     )
     return [
         SpectralMode(lam=lam, right=rights[:, i], left=lefts[:, i])
@@ -506,18 +525,35 @@ def _embed(vec: np.ndarray, idx: np.ndarray | None, dim: int) -> np.ndarray:
     return full
 
 
-def _population_block(bundle: GeneratorBundle) -> tuple[np.ndarray, bool, bool]:
+def _population_block(
+    bundle: GeneratorBundle,
+) -> tuple[np.ndarray, sp.csr_matrix | None, bool]:
     """Mask of the population block M = 0 over the generator's components
-    (M is the ket's excitation number minus the bra's), whether the
-    generator stores no entry joining that block to the rest, and whether
-    the T1 search and the steady state go dense: a closed block with a
-    superoperator dimension up to ``_DENSE_LIMIT``."""
-    data = bundle.superop.data
+    (M is the ket's excitation number minus the bra's), that block as a
+    CSR matrix when the generator leaves it closed (None when it joins it
+    to the rest), and whether the T1 search and the steady state go dense:
+    a closed block with a superoperator dimension up to ``_DENSE_LIMIT``.
+
+    A bundle from a builder is closed when none of its terms with a
+    nonzero coefficient joins the block to the rest, and its block is the
+    sum over the block layout, so the full generator is not assembled.  A
+    bundle with only an explicit superoperator is scanned (no stored entry
+    joins the block to the rest) and sliced.
+    """
     *_, population = _t1_constants(bundle.space)
-    # the row of every stored entry against its column, read off the CSR arrays
-    rows = np.repeat(population, np.diff(data.indptr))
-    closed = np.array_equal(rows, population[data.indices])
-    return population, closed, closed and data.shape[0] <= _DENSE_LIMIT
+    if bundle.coeffs is None:
+        data = bundle.superop.data
+        # the row of every stored entry against its column, read off the CSR arrays
+        rows = np.repeat(population, np.diff(data.indptr))
+        closed = np.array_equal(rows, population[data.indices])
+        idx = np.flatnonzero(population)
+        block = data[idx][:, idx] if closed else None
+    else:
+        layout, joining = _block_table(bundle.space)
+        closed = not any(c != 0 and key in joining for key, c in bundle.coeffs.items())
+        block = _term_sum(layout, bundle.coeffs) if closed else None
+    dense = block is not None and bundle.space.total_dim ** 2 <= _DENSE_LIMIT
+    return population, block, dense
 
 
 def _t1_modes(bundle: GeneratorBundle):
@@ -525,8 +561,9 @@ def _t1_modes(bundle: GeneratorBundle):
     `_eigenmodes`' arrays ``lams, lefts, rights``, then the indices of the
     M = 0 block they are restricted to (None when the generator joins it to
     the rest), their weights in the injected excitation, and the steady
-    state.  Bare and blackbox generators conserve excitation number, so the
-    steady state, the injected excitation and every population mode live in
+    state.  The block is `_population_block`'s, so a closed bundle from a
+    builder never assembles its full generator here.  Bare and blackbox
+    generators conserve excitation number, so the steady state, the injected excitation and every population mode live in
     that closed block.  On an open block (a driven generator) only the
     population modes are kept: those whose right vector holds at least
     ``SUPPORT_FRACTION`` of its weight in M = 0, since the driven steady
@@ -541,11 +578,9 @@ def _t1_modes(bundle: GeneratorBundle):
     ``WEIGHT_FLOOR`` (besides `_eigenmodes`' own adjoint check), and the
     window's zero mode is the steady state.
     """
-    population, closed, dense_block = _population_block(bundle)
-    lop, idx = bundle.superop.data, None
-    if closed:
-        idx = np.flatnonzero(population)
-        lop = lop[idx][:, idx]
+    population, lop, dense_block = _population_block(bundle)
+    idx = None if lop is None else np.flatnonzero(population)
+    lop = bundle.superop.data if lop is None else lop
 
     def select(lams, lefts, rights):
         if dense_block:
@@ -593,7 +628,7 @@ def t1_rate_diag(bundle: GeneratorBundle) -> T1DiagResult:
     # the modes are sorted by |Re lambda|, and one clears the floor
     slowest = np.flatnonzero(np.abs(weights) > WEIGHT_FLOOR)[0]
     heaviest = np.argmax(np.abs(weights))
-    dim = bundle.superop.data.shape[0]
+    dim = bundle.space.total_dim ** 2
     picked = {  # both criteria may pick the same mode; wrap it once
         i: SpectralMode(lams[i], _embed(rights[:, i], idx, dim),
                         _embed(lefts[:, i], idx, dim), weight=complex(weights[i]))

@@ -241,25 +241,47 @@ class TestRunScenario:
 
     def test_sweep_builds_one_term_table_per_cutoff(self, monkeypatch):
         # only the coefficients change along a grid, so the grid cutoff and
-        # the bumped precheck cutoff each build one layout
-        build, built = purcell_lab.liouvillian._build_layout, []
+        # the bumped precheck cutoff each build one layout and one block
+        # layout
+        built = {"_build_layout": [], "_build_block_layout": []}
+        for name, spaces in built.items():
+            def counted(space, build=getattr(purcell_lab.liouvillian, name),
+                        spaces=spaces):
+                spaces.append(space.dims)
+                return build(space)
 
-        def counted(space):
-            built.append(space.dims)
-            return build(space)
-
-        monkeypatch.setattr(purcell_lab.liouvillian, "_build_layout", counted)
+            monkeypatch.setattr(purcell_lab.liouvillian, name, counted)
         monkeypatch.setattr(purcell_lab.liouvillian, "_TERM_TABLES", {})
+        monkeypatch.setattr(purcell_lab.liouvillian, "_BLOCK_TABLES", {})
         config = config_from_dict(
             make_config(truncation=[3, 2], sweep={"grid": [0.0, 0.01, 0.02, 0.03]})
         )
         serial, _ = run_scenario(config)
-        assert sorted(built) == [(3, 2), (5, 4)]
+        for spaces in built.values():
+            assert sorted(spaces) == [(3, 2), (5, 4)]
         monkeypatch.setattr(purcell_lab.liouvillian, "_TERM_TABLES", {})
+        monkeypatch.setattr(purcell_lab.liouvillian, "_BLOCK_TABLES", {})
         threaded, _ = run_scenario(config, jobs=2)
         assert [replace(r, wall_time_s=0.0) for r in threaded] == [
             replace(r, wall_time_s=0.0) for r in serial
         ]
+
+    def test_closed_sweep_assembles_no_full_generator(self, monkeypatch):
+        # above the dense limit a diag-only thermal point and the precheck
+        # search the population block, summed over the block layout
+        assemble, assembled = purcell_lab.liouvillian._generator, []
+
+        def counted(space, coeffs):
+            assembled.append(space.dims)
+            return assemble(space, coeffs)
+
+        monkeypatch.setattr(purcell_lab.liouvillian, "_generator", counted)
+        config = config_from_dict(
+            make_config(truncation=[8, 6], sweep={"grid": [0.0, 0.05]})
+        )
+        rows, summary = run_scenario(config)
+        assert summary["converged"] is True and summary["hard_errors"] == 0
+        assert assembled == []
 
     def test_sweep_solves_each_steady_state_once(self, monkeypatch):
         # both protocols of a point share one steady state; the bumped

@@ -317,19 +317,27 @@ def csr_bits(mat):
     return mat.indptr, mat.indices, mat.data.view(np.uint64)
 
 
-def shared_arrays(space):
-    """Every array of the per-cutoff objects shared by the generators and
-    the T1 protocols of ``space``: the layout, the qubit operators and the
-    population mask."""
-    indptr, indices, lift, operators, superoperators = liouvillian._term_table(space)
-    a_raise, a_lower, number, population = spectral._t1_constants(space)
-    arrays = {
-        "indptr": indptr, "indices": indices, "left": lift[0], "right": lift[1],
-        "number": number, "population": population,
-    }
+def layout_arrays(layout, tag=""):
+    """Every array of a layout or block layout, by name."""
+    indptr, indices, (_, index, left, right), operators, superoperators = layout
+    arrays = {"indptr": indptr, "indices": indices, "index": index,
+              "left": left, "right": right}
     for terms in (operators, superoperators):
         for key, (positions, values) in terms.items():
             arrays[f"{key} positions"], arrays[f"{key} values"] = positions, values
+    return {f"{tag}{name}": arr for name, arr in arrays.items()}
+
+
+def shared_arrays(space):
+    """Every array of the per-cutoff objects shared by the generators and
+    the T1 protocols of ``space``: the layout, the block layout, the qubit
+    operators and the population mask."""
+    a_raise, a_lower, number, population = spectral._t1_constants(space)
+    arrays = {
+        **layout_arrays(liouvillian._term_table(space)),
+        **layout_arrays(liouvillian._block_table(space)[0], "block "),
+        "number": number, "population": population,
+    }
     for name, op in (("raise", a_raise), ("lower", a_lower)):
         for part, arr in zip(("data", "indices", "indptr"), csr_arrays(op)):
             arrays[f"{name} {part}"] = arr
@@ -371,10 +379,12 @@ class TestSharedTermTable:
 
     def test_consumers_leave_the_shared_table_unchanged(self, monkeypatch):
         monkeypatch.setattr(liouvillian, "_TERM_TABLES", {})
+        monkeypatch.setattr(liouvillian, "_BLOCK_TABLES", {})
         monkeypatch.setattr(spectral, "_T1_CONSTANTS", {})
         params = make_params(kappa_a=0.002, nbar_c0=0.08, nbar_a0=0.02)
         case = (params, TermToggles(), DriveParams(0.03, -0.3), TruncatedSpace((4, 3)))
         table = liouvillian._term_table(case[-1])
+        block = liouvillian._block_table(case[-1])
         constants = spectral._t1_constants(case[-1])
         shared = shared_arrays(case[-1])
         assert not [key for key, arr in shared.items() if arr.flags.writeable]
@@ -383,6 +393,7 @@ class TestSharedTermTable:
             t1_rate_fit(bundle, t1_rate_diag(bundle).rho_ss)
         blackbox_perturbation_parts(polariton_frame(params), case[-1])
         assert liouvillian._term_table(case[-1]) is table
+        assert liouvillian._block_table(case[-1]) is block
         assert spectral._t1_constants(case[-1]) is constants
         after = shared_arrays(case[-1])
         assert after.keys() == before.keys()
@@ -465,3 +476,53 @@ class TestLayoutSum:
             for terms in liouvillian._unit_terms(TruncatedSpace(dims)):
                 for key, mat in terms.items():
                     assert not np.any(mat.data.imag), (dims, key)
+
+
+def block_variants(case):
+    """Bundles of every builder around one drawn case: bare and blackbox
+    at the drawn and at zero occupancy (blackbox with the drawn toggles and
+    with each toggle off alone), and displaced with zero and with the drawn
+    drive."""
+    params, toggles, drive, space = case
+    off = [replace(TermToggles(), **{f"include_{name}": False})
+           for name in ("crs", "nc", "cd", "drive")]
+    cold = replace(params, nbar_a0=0.0, nbar_c0=0.0)
+    for p in (params, cold):
+        frame = polariton_frame(p)
+        yield "bare", build_bare(p, space)
+        for t in (toggles, *off):
+            yield f"blackbox {t}", build_blackbox(frame, p, space, t)
+    for d in (replace(drive, f_c=0.0), drive):
+        yield f"displaced {d}", build_displaced(displaced_frame(cold, d), cold, space)
+
+
+class TestBlockLayout:
+    # 14 generators per example, compared bit for bit and against a scan
+    @settings(max_examples=20, deadline=None)
+    @given(dispersive_cases())
+    def test_block_sum_is_the_slice_of_the_full_generator(self, case):
+        space = case[-1]
+        population = spectral._t1_constants(space)[3]
+        idx = np.flatnonzero(population)
+        layout, _ = liouvillian._block_table(space)
+        for name, bundle in block_variants(case):
+            _, block, _ = spectral._population_block(bundle)
+            assert bundle._superop is None, name  # nothing assembled
+            full = bundle.superop.data
+            got = liouvillian._term_sum(layout, bundle.coeffs)
+            for g, w in zip(csr_bits(got), csr_bits(full[idx][:, idx])):
+                assert np.array_equal(g, w), name
+            # the term-based flag against a scan of the stored entries
+            coo = full.tocoo()
+            closed = np.array_equal(population[coo.row], population[coo.col])
+            assert (block is not None) == closed, name
+            if closed:
+                for g, w in zip(csr_bits(block), csr_bits(got)):
+                    assert np.array_equal(g, w), name
+
+    def test_only_the_drive_joins_the_block(self, monkeypatch):
+        monkeypatch.setattr(liouvillian, "_BLOCK_TABLES", {})
+        # a two-level qubit has no a^dag a^dag a, so nothing joins there
+        for dims, want in (((2, 2), set()), ((3, 3), {"drive", "drive_dag"})):
+            _, joining = liouvillian._block_table(TruncatedSpace(dims))
+            assert joining == want, dims

@@ -1,5 +1,6 @@
 """Tests for steady states, spectra, labels, and the two rate protocols."""
 
+import dataclasses
 import json
 import threading
 import warnings
@@ -15,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import purcell_lab.spectral
-from purcell_lab.cli import _build_point, config_from_dict
+from purcell_lab.cli import _build_point, _with_one_blas_thread, config_from_dict
 from purcell_lab.fockspace import (
     Superoperator,
     TruncatedSpace,
@@ -36,6 +37,7 @@ from purcell_lab.model import (
     displaced_frame,
     polariton_frame,
 )
+from purcell_lab.perturbation import rate_report
 from purcell_lab.spectral import (
     PSD_FLOOR,
     SUPPORT_FRACTION,
@@ -157,7 +159,12 @@ class TestSpectrum:
     def test_modes_sorted_and_biorthonormal(self):
         modes = spectrum(blackbox((4, 3), nbar_c0=0.1))
         res = [abs(m.lam.real) for m in modes]
-        assert res == sorted(res)
+        # sorted, except that a conjugate pair of equal |Re lambda| (to
+        # 1e-12 relative) puts its Im lambda > 0 member first
+        for i, (a, b) in enumerate(zip(modes, modes[1:])):
+            if res[i + 1] < res[i]:
+                assert a.lam.imag > 0 > b.lam.imag
+                assert abs(a.lam - np.conj(b.lam)) <= 1e-12 * abs(a.lam)
         lmat = np.column_stack([m.left for m in modes])
         rmat = np.column_stack([m.right for m in modes])
         for m in modes:
@@ -929,6 +936,67 @@ class TestPopulationSector:
         monkeypatch.setattr(scipy.linalg, "eig", spy(scipy.linalg.eig, "search"))
         t1_rate_diag(bundle)
         assert sizes == {"search": [110], "steady": [900]}
+
+
+def bits(result):
+    """A rate result with every array as its bytes and every number as its
+    exact repr."""
+    if isinstance(result, np.ndarray):
+        return result.tobytes()
+    if dataclasses.is_dataclass(result):
+        result = {f.name: getattr(result, f.name) for f in dataclasses.fields(result)}
+    if isinstance(result, dict):
+        return {key: bits(value) for key, value in result.items()}
+    return repr(result)
+
+
+class TestLazyAssembly:
+    @pytest.mark.parametrize("dims", [(6, 5), (8, 6)])
+    def test_diag_is_bitwise_equal_with_the_superop_forced(self, dims):
+        # the block comes from the block layout either way, and every
+        # tolerance from the block, so an assembled generator changes nothing
+        lazy, forced = (blackbox(dims, kappa_a=0.001, nbar_c0=0.05) for _ in range(2))
+        forced.superop
+        got = _with_one_blas_thread(t1_rate_diag, lazy)
+        assert bits(got) == bits(_with_one_blas_thread(t1_rate_diag, forced))
+        assert (lazy._superop is not None) == (dims == (6, 5))  # dense steady state
+
+    def test_rate_report_is_bitwise_equal_with_the_superop_forced(self):
+        # the crosscheck benchmark's point
+        lazy, forced = (blackbox((6, 5), nbar_c0=0.05) for _ in range(2))
+        forced.superop
+        got = _with_one_blas_thread(rate_report, lazy)
+        assert bits(got) == bits(_with_one_blas_thread(rate_report, forced))
+
+
+class TestSpectrumOrder:
+    def test_equal_decay_conjugate_pair_puts_positive_imaginary_first(self):
+        lams = np.array([
+            -1e-3,
+            -2e-3 - 0.7j, -2e-3 * (1 + 1e-14) + 0.7j,  # a roundoff tie: swapped
+            -3e-3 - 0.5j, -3e-3 * (1 + 1e-9) + 0.5j,  # distinct decay: kept
+            -4e-3 - 0.2j, -4e-3 + 0.3j,  # not a conjugate pair: kept
+        ])
+        slowest = purcell_lab.spectral._slowest
+        assert slowest(lams, None, False).tolist() == [0, 1, 2, 3, 4, 5, 6]
+        assert slowest(lams, None, True).tolist() == [0, 2, 1, 3, 4, 5, 6]
+        # the pair is ordered before the cut
+        assert slowest(lams, 2, True).tolist() == [0, 2]
+
+    def test_config_spectrum_prints_each_pair_positive_first(self):
+        config = config_from_dict(
+            json.loads((CONFIGS / "thermal_sweep_intrinsic.json").read_text())
+        )
+        bundle = _build_point(config, config.grid[-1], config.truncation)[0]
+        lams = np.array([m.lam for m in spectrum(bundle, count=10)])
+        default = purcell_lab.spectral._eigenmodes(bundle, bundle.superop.data, False, 10)[0]
+        # the same eigenvalues, bit for bit; only tied pairs move
+        assert sorted(lams.tobytes()[i:i + 16] for i in range(0, 160, 16)) == sorted(
+            default.tobytes()[i:i + 16] for i in range(0, 160, 16)
+        )
+        pairs = np.flatnonzero(np.abs(lams[1:] - np.conj(lams[:-1])) < 1e-12)
+        assert len(pairs) == 2
+        assert np.all(lams[pairs].imag > 0)
 
 
 class TestCutoffConstants:
