@@ -39,6 +39,7 @@ from purcell_lab.model import (
 )
 from purcell_lab.perturbation import rate_report
 from purcell_lab.spectral import (
+    ARPACK_TOL,
     PSD_FLOOR,
     SUPPORT_FRACTION,
     ModeLabel,
@@ -325,6 +326,13 @@ class TestShiftInvert:
         )
 
     @staticmethod
+    def windows(eigs_calls):
+        """``(k, ncv)`` of each recorded call, after checking that every call
+        stops at ``ARPACK_TOL``."""
+        assert [c["tol"] for c in eigs_calls] == [ARPACK_TOL] * len(eigs_calls)
+        return [(c["k"], c["ncv"]) for c in eigs_calls]
+
+    @staticmethod
     def assert_matches_dense(modes, bundle):
         dense = scipy.linalg.eigvals(bundle.superop.data.toarray())
         for m in modes:
@@ -395,8 +403,7 @@ class TestShiftInvert:
         bundle = driven_bundle()
         sparse = spectrum(bundle, count=8)
         assert len(solver_calls["splu"]) == 1
-        ks = [kwargs["k"] for kwargs in solver_calls["eigs"]]
-        assert ks == [ks[0]] * 2 + [2 * ks[0]] * 2
+        assert self.windows(solver_calls["eigs"]) == [(12, 25)] * 2 + [(24, 49)] * 2
         self.assert_matches_dense(sparse, bundle)
 
     def test_unmatched_adjoint_raises_after_three_rounds(
@@ -416,8 +423,9 @@ class TestShiftInvert:
         monkeypatch.setattr(purcell_lab.spectral.spla, "eigs", every_adjoint_misses)
         with pytest.raises(RuntimeError, match="no adjoint eigenvalue matches") as err:
             spectrum(driven_bundle(), count=8)
-        ks = [kwargs["k"] for kwargs in solver_calls["eigs"]]
-        assert ks == [ks[0]] * 2 + [2 * ks[0]] * 2 + [4 * ks[0]] * 2
+        assert self.windows(solver_calls["eigs"]) == (
+            [(12, 25)] * 2 + [(24, 49)] * 2 + [(48, 97)] * 2
+        )
         # the message names the slowest forward eigenvalue of the last round
         last = forward[-1]
         named = last[np.argmin(np.abs(last.real))]
@@ -463,13 +471,13 @@ class TestShiftInvert:
         monkeypatch.setattr(scipy.linalg, "eig", spy(scipy.linalg.eig))
         t1_rate_diag(drive_sweep_point(10.0, dims))
         assert len(solver_calls["splu"]) == 1
-        assert [kwargs["k"] for kwargs in solver_calls["eigs"]] == [6, 6]
+        assert self.windows(solver_calls["eigs"]) == [(6, 13), (6, 13)]
         assert sizes == []
 
     @pytest.mark.parametrize("count,k", [(8, 12), (None, 16)])
     def test_spectrum_keeps_its_window(self, solver_calls, count, k):
         spectrum(driven_bundle(), count=count)
-        assert [kwargs["k"] for kwargs in solver_calls["eigs"]] == [k, k]
+        assert self.windows(solver_calls["eigs"]) == [(k, 2 * k + 1)] * 2
 
     def test_window_without_population_modes_widens_once(
         self, solver_calls, monkeypatch
@@ -499,7 +507,7 @@ class TestShiftInvert:
         got = t1_rate_diag(bundle)
         assert dropped[0] > 0
         assert len(solver_calls["splu"]) == 1
-        assert [kwargs["k"] for kwargs in solver_calls["eigs"]] == [6, 6, 12, 12]
+        assert self.windows(solver_calls["eigs"]) == [(6, 13)] * 2 + [(12, 25)] * 2
         assert got.gamma == pytest.approx(want.gamma, rel=1e-12)
         assert got.gamma_by_weight == pytest.approx(want.gamma_by_weight, rel=1e-12)
         assert got.agree == want.agree
@@ -519,6 +527,32 @@ class TestShiftInvert:
             assert [lu.shape for lu in solver_calls["splu"]] == [(block, block)]
             (forward,), (adjoint,) = self.by_direction(solver_calls["eigs"])
             assert adjoint["sigma"] == np.conj(forward["sigma"])
+
+    def test_precheck_window_stops_within_its_solve_budget(self, monkeypatch):
+        # the driven (10,8) 10-photon point is the drive sweep's convergence
+        # precheck search; on a 2k+1 basis stopped at ARPACK_TOL each 6-mode
+        # window takes 22 OPinv solves, where scipy's 20-vector default run
+        # to machine precision took 30 on the adjoint side
+        eigs = purcell_lab.spectral.spla.eigs
+        solves = {False: [], True: []}
+
+        def counted_eigs(a, **kwargs):
+            op, done = kwargs["OPinv"], solves[is_adjoint(a)]
+
+            def solve(x):
+                done.append(None)
+                return op.matvec(x)
+
+            kwargs["OPinv"] = scipy.sparse.linalg.LinearOperator(
+                op.shape, solve, dtype=op.dtype
+            )
+            return eigs(a, **kwargs)
+
+        monkeypatch.setattr(purcell_lab.spectral.spla, "eigs", counted_eigs)
+        t1_rate_diag(drive_sweep_point(10.0, (10, 8)))
+        budget = 2 * (2 * 6 + 1)
+        assert 0 < len(solves[False]) <= budget
+        assert 0 < len(solves[True]) <= budget
 
     def test_failed_factorization_moves_the_shift(self, solver_calls):
         solver_calls["fail"] = 1
@@ -727,10 +761,10 @@ class TestT1RateDiag:
     def test_no_zero_mode_in_the_window(self, monkeypatch):
         # a shift near i * |Delta| puts the window among the qubit coherences;
         # the error comes after the window has been widened twice
-        eigs, ks = scipy.sparse.linalg.eigs, []
+        eigs, windows = scipy.sparse.linalg.eigs, []
 
         def counted_eigs(a, **kwargs):
-            ks.append(kwargs["k"])
+            windows.append((kwargs["k"], kwargs["ncv"], kwargs["tol"]))
             return eigs(a, **kwargs)
 
         monkeypatch.setattr(purcell_lab.spectral.spla, "eigs", counted_eigs)
@@ -738,7 +772,9 @@ class TestT1RateDiag:
         monkeypatch.setattr(purcell_lab.spectral, "SPARSE_SHIFT", 1e4j)
         with pytest.raises(RuntimeError, match="no zero mode in the window"):
             t1_rate_diag(driven_bundle())
-        assert ks == [6, 6, 12, 12, 24, 24]
+        assert windows == [
+            (k, 2 * k + 1, ARPACK_TOL) for k in (6, 6, 12, 12, 24, 24)
+        ]
 
 
 @st.composite
@@ -839,6 +875,51 @@ class TestPathIndependence:
         diag = t1_rate_diag(bundle)
         fit = t1_rate_fit(bundle, diag.rho_ss)
         assert fit.gamma == pytest.approx(diag.gamma, rel=1e-2)
+
+
+class TestArpackTolerance:
+    """Shift-invert windows on a 2k+1 basis stopped at ``ARPACK_TOL`` pick
+    the modes, rates and ``agree`` that scipy's default basis, run to
+    machine precision, picks."""
+
+    @staticmethod
+    def assert_sized_matches_machine_precision(bundle):
+        eigs = scipy.sparse.linalg.eigs
+
+        def machine_precision(a, ncv, tol, **kwargs):
+            return eigs(a, **kwargs)
+
+        with warnings.catch_warnings(), pytest.MonkeyPatch.context() as mp:
+            warnings.simplefilter("ignore")  # a criteria disagreement is compared
+            mp.setattr(purcell_lab.spectral, "_DENSE_LIMIT", 0)
+            sized = t1_rate_diag(bundle)
+            mp.setattr(purcell_lab.spectral.spla, "eigs", machine_precision)
+            full = t1_rate_diag(bundle)
+        assert sized.gamma == pytest.approx(full.gamma, rel=1e-12)
+        assert sized.gamma_by_weight == pytest.approx(full.gamma_by_weight, rel=1e-12)
+        assert sized.agree == full.agree
+        for got, want in ((sized.mode, full.mode),
+                          (sized.mode_by_weight, full.mode_by_weight)):
+            assert abs(got.lam - want.lam) <= 1e-12 * abs(want.lam)
+
+    @settings(max_examples=20)
+    @given(small_generators())
+    def test_small_generators(self, bundle):
+        self.assert_sized_matches_machine_precision(bundle)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: drive_sweep_point(2.0, (8, 6)),
+            lambda: drive_sweep_point(10.0, (8, 6)),
+            # the thermal sweep's model; its population block is searched
+            lambda: blackbox((10, 8), nbar_c0=0.15),
+        ],
+        ids=["driven (8,6) 2 photons", "driven (8,6) 10 photons",
+             "thermal (10,8) nbar 0.15"],
+    )
+    def test_sweep_points(self, build):
+        self.assert_sized_matches_machine_precision(build())
 
 
 def reference_diag(bundle, rho_ss=None):
