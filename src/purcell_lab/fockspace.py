@@ -84,9 +84,6 @@ class Superoperator:
             )
         object.__setattr__(self, "data", data)
 
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.data.data))) if self.data.nnz else 0.0
-
 
 def ladder_operators(
     space: TruncatedSpace, mode: int

@@ -21,11 +21,11 @@ few scatter-adds on one data vector, in the same order for every
 generator, and gives the same CSR arrays, bit for bit, as adding the
 terms as sparse matrices one by one.  A second layout per cutoff is the
 first restricted to the population block M = 0 (M is the ket's excitation
-number minus the bra's), with the keys of the terms that join that block
-to the rest (:func:`_build_block_layout`); the same sum over it gives the
-block of a generator whose nonzero terms leave it closed, bit for bit
-equal to the slice of the full generator.  A bundle from a builder keeps
-its coefficient map and assembles the full generator on first use.
+number minus the bra's), with the keys of the terms that join it to the
+rest and its mask (:func:`_build_block_layout`); the same sum over it
+gives the block of a generator whose nonzero terms leave it closed, bit
+for bit the slice of the full generator.  A bundle keeps its coefficient
+map and assembles the full generator on first use.
 """
 
 from __future__ import annotations
@@ -64,22 +64,20 @@ class TermToggles:
 
 
 class GeneratorBundle:
-    """A generator plus the context it was built in.
+    """A builder's generator plus the context it was built in.
 
     basis is one of "bare", "blackbox", "displaced".  frame is the
     PolaritonFrame (bare/blackbox) or DisplacedFrame (displaced) whose
-    constants parameterize the generator.  A bundle from a builder holds
-    its space and coefficient map ``coeffs`` and assembles ``superop``, the
-    sum over the space's layout, on first access; one made from an
-    explicit ``superop`` has ``coeffs`` None.
+    constants parameterize the generator.  The bundle holds its space and
+    coefficient map ``coeffs`` and assembles ``superop``, the sum over the
+    space's layout, on first access.
     """
 
-    def __init__(self, superop: Superoperator | None, frame: object, basis: str,
-                 params: SystemParams, *, space: TruncatedSpace | None = None,
-                 coeffs: dict[str, complex] | None = None):
-        self.frame, self.basis, self.params, self.coeffs = frame, basis, params, coeffs
-        self.space = space if superop is None else superop.space
-        self._superop = superop
+    def __init__(self, frame: object, basis: str, params: SystemParams,
+                 space: TruncatedSpace, coeffs: dict[str, complex]):
+        self.frame, self.basis, self.params = frame, basis, params
+        self.space, self.coeffs = space, coeffs
+        self._superop = None
 
     @property
     def superop(self) -> Superoperator:
@@ -246,18 +244,19 @@ _BLOCK_TABLES: dict[TruncatedSpace, tuple] = {}
 
 
 def _block_table(space: TruncatedSpace) -> tuple:
-    """(block layout, joining keys) of ``space``, built on the first call
-    for that space and shared afterwards, read-only."""
+    """(block layout, joining keys, population mask) of ``space``, built on
+    the first call for that space and shared afterwards, read-only."""
     table = _BLOCK_TABLES.get(space)
     if table is None:
         table = _BLOCK_TABLES[space] = _build_block_layout(space)
     return table
 
 
-def _build_block_layout(space: TruncatedSpace) -> tuple[tuple, frozenset[str]]:
+def _build_block_layout(space: TruncatedSpace) -> tuple:
     """The layout of :func:`_term_table` restricted to the rows and columns
-    of the population block M = 0, in their order, and the keys of the
-    terms with an entry joining that block to the rest.
+    of the population block M = 0, in their order, the keys of the terms
+    with an entry joining that block to the rest, and the mask of that
+    block over the generator's components (the one definition of M = 0).
 
     Its ``lift`` keeps, flat, the (component, entry of h) pairs that fall
     in the block; the operator terms, and so h, are shared.  Each kept
@@ -285,12 +284,12 @@ def _build_block_layout(space: TruncatedSpace) -> tuple[tuple, frozenset[str]]:
          for key, (pos, values) in superoperators.items()},
     )
     terms = [arr for term in layout[4].values() for arr in term]
-    for arr in (*layout[:2], *layout[2][1:], *terms):
+    for arr in (*layout[:2], *layout[2][1:], *terms, population):
         arr.flags.writeable = False
     joining = {key for key, (pos, _) in superoperators.items() if joins[pos].any()}
     joining.update(key for key, (pos, _) in operators.items()
                    if joins[left[:, pos]].any() or joins[right[:, pos]].any())
-    return layout, frozenset(joining)
+    return layout, frozenset(joining), population
 
 
 def _term_sum(layout: tuple, coeffs: dict[str, complex]) -> sp.csr_matrix:
@@ -395,8 +394,7 @@ def _displaced_coefficients(dframe: DisplacedFrame) -> dict[str, complex]:
 def build_bare(params: SystemParams, space: TruncatedSpace) -> GeneratorBundle:
     """Lab-frame generator: bare Hamiltonian plus independent thermal baths."""
     return GeneratorBundle(
-        None, polariton_frame(params), "bare", params,
-        space=space, coeffs=_bare_coefficients(params),
+        polariton_frame(params), "bare", params, space, _bare_coefficients(params)
     )
 
 
@@ -413,7 +411,7 @@ def build_blackbox(
     toggles.
     """
     coeffs = _toggled(_polariton_coefficients(frame), toggles)
-    return GeneratorBundle(None, frame, "blackbox", params, space=space, coeffs=coeffs)
+    return GeneratorBundle(frame, "blackbox", params, space, coeffs)
 
 
 def blackbox_perturbation_parts(
@@ -448,4 +446,4 @@ def build_displaced(
             "got nbar_a0={}, nbar_c0={}".format(params.nbar_a0, params.nbar_c0)
         )
     coeffs = _toggled(_displaced_coefficients(dframe), toggles)
-    return GeneratorBundle(None, dframe, "displaced", params, space=space, coeffs=coeffs)
+    return GeneratorBundle(dframe, "displaced", params, space, coeffs)

@@ -281,7 +281,7 @@ def steady_state(bundle: GeneratorBundle) -> np.ndarray:
     or when the state is not physical (eigenvalues below ``PSD_FLOOR``);
     small negative populations above the floor are clipped with a warning.
     """
-    if _population_block(bundle)[2]:
+    if _population_block(bundle)[1]:
         w, v = np.linalg.eig(bundle.superop.data.toarray())
         return _zero_mode_state(bundle, w, v)
     return _t1_modes(bundle)[-1]
@@ -326,9 +326,13 @@ def _biorthonormalize(lams, lefts, rights, mag: float) -> None:
             rights[:, cluster] = rmat
 
 
-def _checked_modes(lop, lams, lefts, rights, mag: float):
-    """``(lams, lefts, rights)`` after the residual check on the raw
+def _checked_modes(lop, lams, lefts, rights, mag: float, keep=None):
+    """``(lams, lefts, rights)``, cut to the columns that ``keep(lams,
+    rights)`` marks when given, after the residual check on the raw
     vectors, biorthonormalized, and after the Gram check."""
+    if keep is not None:
+        kept = keep(lams, rights)
+        lams, lefts, rights = lams[kept], lefts[:, kept], rights[:, kept]
     # defectiveness / convergence check on the raw (unit-norm-ish) vectors
     res = lop @ rights
     res -= rights * lams
@@ -370,27 +374,29 @@ def _slowest(lams: np.ndarray, count: int | None, pairs_first: bool) -> np.ndarr
 def _eigenmodes(
     bundle: GeneratorBundle, lop, dense: bool, count: int | None,
     k: int | None = None, select=lambda *modes: modes, pairs_first: bool = False,
+    keep=None,
 ):
     """Slowest biorthonormalized eigenmodes of ``lop``, the generator of
     ``bundle`` or a closed block of it (square CSR), as the solver's arrays
     ``(lams, lefts, rights)``: eigenvalues sorted by |Re lambda| ascending,
     and column i of ``lefts`` and ``rights`` the vectors of ``lams[i]``.
     ``select`` turns those arrays into the result returned (by default it
-    returns them as they are).
+    returns them as they are); ``keep``, when given, marks the modes that
+    are checked and passed on (`_checked_modes`).
 
     The body of `spectrum`, shared with `t1_rate_diag`'s search; each caller
     says whether to decompose ``lop`` densely.  The tolerances scale with
     the largest entry of ``lop``, which for a block is never above the
     full generator's, so a block is checked at least as strictly as the
     whole; the sparse shift comes from the bundle.  ``pairs_first`` is
-    `_slowest`'s, applied before the ``count`` cut.  The sparse path asks ARPACK for ``k`` modes (default
-    ``max(count + 4, 12)``) and keeps the ``count`` slowest.  It doubles
-    ``k`` (up to ``dim - 2``) for at most two more rounds while a kept
-    forward eigenvalue has no adjoint partner or ``select`` raises
-    `_NarrowWindow`, and factors ``lop - sigma I`` once for the forward and
-    adjoint solves of every round; each round takes both windows from one
-    `_shift_invert` call, which solves them at once when ``lop`` is larger
-    than ``_DENSE_LIMIT``.
+    `_slowest`'s, applied before the ``count`` cut.  The sparse path asks
+    ARPACK for ``k`` modes (default ``max(count + 4, 12)``) and keeps the
+    ``count`` slowest.  It doubles ``k`` (up to ``dim - 2``) for at most two
+    more rounds while a kept forward eigenvalue has no adjoint partner or
+    ``select`` raises `_NarrowWindow`, and factors ``lop - sigma I`` once
+    for the forward and adjoint solves of every round; each round takes
+    both windows from one `_shift_invert` call, which solves them at once
+    when ``lop`` is larger than ``_DENSE_LIMIT``.
     """
     dim = lop.shape[0]
     mag = float(np.max(np.abs(lop.data))) if lop.nnz else 0.0
@@ -415,7 +421,7 @@ def _eigenmodes(
         lams, rights, lefts = w[kept], vecs[:, kept], inv[kept].T
         del vecs, lu, inv
         np.conjugate(lefts, out=lefts)
-        return select(*_checked_modes(lop, lams, lefts, rights, mag))
+        return select(*_checked_modes(lop, lams, lefts, rights, mag, keep))
 
     count = SPARSE_COUNT if count is None else count
     k = max(count + 4, 12) if k is None else k
@@ -431,7 +437,7 @@ def _eigenmodes(
         partner = np.argmin(gap, axis=1)
         miss = gap.min(axis=1) > 1e-8 * np.maximum(1.0, np.abs(lams))
         if not miss.any():
-            modes = _checked_modes(lop, lams, vl[:, partner], vr[:, kept], mag)
+            modes = _checked_modes(lop, lams, vl[:, partner], vr[:, kept], mag, keep)
             try:
                 return select(*modes)
             except _NarrowWindow:
@@ -505,22 +511,21 @@ def block_labels(
 
 # Cutoff constants of the T1 protocols, built on the first call for a space
 # and shared, read-only, by every later generator of that space: the qubit
-# raise operator, its adjoint, the dense qubit number operator and the mask
-# of the population (M = 0) block.  A concurrent miss only builds them twice.
+# raise operator, its adjoint and the dense qubit number operator.  A
+# concurrent miss only builds them twice.
 _T1_CONSTANTS: dict[TruncatedSpace, tuple] = {}
 
 
 def _t1_constants(space: TruncatedSpace) -> tuple:
-    """(qubit raise operator, its adjoint, dense qubit number operator,
-    population mask) of ``space``."""
+    """(qubit raise operator, its adjoint, dense qubit number operator) of
+    ``space``."""
     consts = _T1_CONSTANTS.get(space)
     if consts is None:
         _, a_raise, number = ladder_operators(space, 1)
         a_lower = a_raise.conj().T
-        population = coherence_sectors(space).sum(1) == 0
-        consts = (a_raise, a_lower, number.toarray(), population)
+        consts = (a_raise, a_lower, number.toarray())
         for arr in (a_raise.data, a_raise.indices, a_raise.indptr, a_lower.data,
-                    a_lower.indices, a_lower.indptr, *consts[2:]):
+                    a_lower.indices, a_lower.indptr, consts[2]):
             arr.flags.writeable = False
         _T1_CONSTANTS[space] = consts
     return consts
@@ -528,7 +533,7 @@ def _t1_constants(space: TruncatedSpace) -> tuple:
 
 def _injected_excitation(bundle: GeneratorBundle, rho_ss: np.ndarray) -> np.ndarray:
     """Normalized rho_ss with one extra qubit excitation added."""
-    a_raise, a_lower, _, _ = _t1_constants(bundle.space)
+    a_raise, a_lower, _ = _t1_constants(bundle.space)
     rho0 = a_raise @ rho_ss @ a_lower
     tr = np.trace(rho0).real
     if tr <= 0:
@@ -545,35 +550,15 @@ def _embed(vec: np.ndarray, idx: np.ndarray | None, dim: int) -> np.ndarray:
     return full
 
 
-def _population_block(
-    bundle: GeneratorBundle,
-) -> tuple[np.ndarray, sp.csr_matrix | None, bool]:
-    """Mask of the population block M = 0 over the generator's components
-    (M is the ket's excitation number minus the bra's), that block as a
-    CSR matrix when the generator leaves it closed (None when it joins it
-    to the rest), and whether the T1 search and the steady state go dense:
-    a closed block with a superoperator dimension up to ``_DENSE_LIMIT``.
-
-    A bundle from a builder is closed when none of its terms with a
-    nonzero coefficient joins the block to the rest, and its block is the
-    sum over the block layout, so the full generator is not assembled.  A
-    bundle with only an explicit superoperator is scanned (no stored entry
-    joins the block to the rest) and sliced.
-    """
-    *_, population = _t1_constants(bundle.space)
-    if bundle.coeffs is None:
-        data = bundle.superop.data
-        # the row of every stored entry against its column, read off the CSR arrays
-        rows = np.repeat(population, np.diff(data.indptr))
-        closed = np.array_equal(rows, population[data.indices])
-        idx = np.flatnonzero(population)
-        block = data[idx][:, idx] if closed else None
-    else:
-        layout, joining = _block_table(bundle.space)
-        closed = not any(c != 0 and key in joining for key, c in bundle.coeffs.items())
-        block = _term_sum(layout, bundle.coeffs) if closed else None
-    dense = block is not None and bundle.space.total_dim ** 2 <= _DENSE_LIMIT
-    return population, block, dense
+def _population_block(bundle: GeneratorBundle) -> tuple[bool, bool]:
+    """Whether the generator leaves its population block M = 0 closed (no
+    term with a nonzero coefficient joins it to the rest, per the block
+    table), and whether its T1 search and steady state go dense: a closed
+    block with a superoperator dimension up to ``_DENSE_LIMIT``.  Flags
+    only; nothing is summed here."""
+    joining = _block_table(bundle.space)[1]
+    closed = not any(c != 0 and key in joining for key, c in bundle.coeffs.items())
+    return closed, closed and bundle.space.total_dim ** 2 <= _DENSE_LIMIT
 
 
 def _t1_modes(bundle: GeneratorBundle):
@@ -581,14 +566,16 @@ def _t1_modes(bundle: GeneratorBundle):
     `_eigenmodes`' arrays ``lams, lefts, rights``, then the indices of the
     M = 0 block they are restricted to (None when the generator joins it to
     the rest), their weights in the injected excitation, and the steady
-    state.  The block is `_population_block`'s, so a closed bundle from a
-    builder never assembles its full generator here.  Bare and blackbox
-    generators conserve excitation number, so the steady state, the injected excitation and every population mode live in
-    that closed block.  On an open block (a driven generator) only the
-    population modes are kept: those whose right vector holds at least
-    ``SUPPORT_FRACTION`` of its weight in M = 0, since the driven steady
-    state carries coherences and a drive near the qubit puts qubit
-    coherence modes near the shift.
+    state.  Bare and blackbox generators conserve excitation number, so
+    the steady state, the injected excitation and every population mode
+    live in that closed block; its one sum over the block layout is here,
+    and the full generator is not assembled.  On an open block (a driven
+    generator) the full generator is searched, and only the zero mode and
+    the population modes, whose right vector holds at least
+    ``SUPPORT_FRACTION`` of its weight in M = 0, are checked and kept: the
+    driven steady state carries coherences, a drive near the qubit puts
+    qubit coherence modes near the shift, and those of a near-harmonic
+    qubit can form clusters too close to biorthonormalize.
 
     One flag picks the solver and the steady state: a closed block with a
     superoperator dimension up to ``_DENSE_LIMIT`` is searched by a dense
@@ -598,31 +585,36 @@ def _t1_modes(bundle: GeneratorBundle):
     ``WEIGHT_FLOOR`` (besides `_eigenmodes`' own adjoint check), and the
     window's zero mode is the steady state.
     """
-    population, lop, dense_block = _population_block(bundle)
-    idx = None if lop is None else np.flatnonzero(population)
-    lop = bundle.superop.data if lop is None else lop
+    layout, _, population = _block_table(bundle.space)
+    closed, dense_block = _population_block(bundle)
+    zero = 1e-6 * bundle.t1_rate_scale
+    keep = idx = None
+    if closed:
+        idx, lop = np.flatnonzero(population), _term_sum(layout, bundle.coeffs)
+    else:
+        lop = bundle.superop.data
+
+        def keep(lams, rights):  # the zero mode and the population modes
+            p = np.abs(rights) ** 2
+            return (np.abs(lams) < zero) | (
+                p[population].sum(0) >= SUPPORT_FRACTION * p.sum(0))
 
     def select(lams, lefts, rights):
         if dense_block:
             rho_ss = steady_state(bundle)
         else:
             rho_ss = _zero_mode_state(bundle, lams, rights, idx)
-        keep = np.abs(lams) > 1e-6 * bundle.t1_rate_scale
+        excited = np.abs(lams) > zero
+        lams, lefts, rights = lams[excited], lefts[:, excited], rights[:, excited]
         v0 = vectorize(_injected_excitation(bundle, rho_ss))
-        if idx is None:
-            p = np.abs(rights) ** 2
-            keep &= p[population].sum(0) >= SUPPORT_FRACTION * p.sum(0)
-        else:
-            v0 = v0[idx]
-        lams, lefts, rights = lams[keep], lefts[:, keep], rights[:, keep]
-        weights = lefts.conj().T @ v0
+        weights = lefts.conj().T @ (v0 if idx is None else v0[idx])
         if not np.any(np.abs(weights) > WEIGHT_FLOOR):
             raise _NarrowWindow(
                 f"no excited population mode carries weight above {WEIGHT_FLOOR:.1e}"
             )
         return lams, lefts, rights, idx, weights, rho_ss
 
-    return _eigenmodes(bundle, lop, dense_block, None, k=6, select=select)
+    return _eigenmodes(bundle, lop, dense_block, None, k=6, select=select, keep=keep)
 
 
 def t1_rate_diag(bundle: GeneratorBundle) -> T1DiagResult:
@@ -780,7 +772,7 @@ def t1_rate_fit(
     scale = bundle.t1_rate_scale
     horizon = horizon if horizon is not None else 20.0 / scale
     rho0 = _injected_excitation(bundle, rho_ss)
-    _, _, n_qubit, _ = _t1_constants(bundle.space)
+    _, _, n_qubit = _t1_constants(bundle.space)
     times = np.linspace(0.0, horizon, FIT_STEPS + 1)
     traj = evolve(bundle, rho0, times)
     nvals = np.einsum("tij,ji->t", traj, n_qubit).real

@@ -134,11 +134,16 @@ def shift_invert_steady_state(bundle) -> np.ndarray:
     return rho
 
 
+def max_abs(superop: Superoperator) -> float:
+    """max|L| over the stored entries of L (0 if L is empty)."""
+    return float(np.max(np.abs(superop.data.data))) if superop.data.nnz else 0.0
+
+
 def trace_preservation_residual(superop: Superoperator) -> float:
     """max|vec(I)^dag L|, normalized by max|L| (0 if L is empty)."""
     t = trace_functional(superop.space)
     resid = float(np.max(np.abs(t @ superop.data)))
-    scale = superop.max_abs()
+    scale = max_abs(superop)
     return resid / scale if scale > 0 else resid
 
 

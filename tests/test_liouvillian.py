@@ -332,10 +332,11 @@ def shared_arrays(space):
     """Every array of the per-cutoff objects shared by the generators and
     the T1 protocols of ``space``: the layout, the block layout, the qubit
     operators and the population mask."""
-    a_raise, a_lower, number, population = spectral._t1_constants(space)
+    a_raise, a_lower, number = spectral._t1_constants(space)
+    block, _, population = liouvillian._block_table(space)
     arrays = {
         **layout_arrays(liouvillian._term_table(space)),
-        **layout_arrays(liouvillian._block_table(space)[0], "block "),
+        **layout_arrays(block, "block "),
         "number": number, "population": population,
     }
     for name, op in (("raise", a_raise), ("lower", a_lower)):
@@ -496,17 +497,36 @@ def block_variants(case):
         yield f"displaced {d}", build_displaced(displaced_frame(cold, d), cold, space)
 
 
+class _Searched(Exception):
+    """Carries the matrix `_t1_modes` hands to its mode search."""
+
+
+def searched_matrix(bundle):
+    """The matrix that `_t1_modes` would search for ``bundle``; the search
+    itself is not run."""
+    def stop(_, lop, *args, **kwargs):
+        raise _Searched(lop)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "_eigenmodes", stop)
+        with pytest.raises(_Searched) as caught:
+            spectral._t1_modes(bundle)
+    return caught.value.args[0]
+
+
 class TestBlockLayout:
     # 14 generators per example, compared bit for bit and against a scan
     @settings(max_examples=20, deadline=None)
     @given(dispersive_cases())
     def test_block_sum_is_the_slice_of_the_full_generator(self, case):
         space = case[-1]
-        population = spectral._t1_constants(space)[3]
+        population = coherence_sectors(space).sum(1) == 0
+        layout, _, mask = liouvillian._block_table(space)
+        assert np.array_equal(mask, population)
         idx = np.flatnonzero(population)
-        layout, _ = liouvillian._block_table(space)
         for name, bundle in block_variants(case):
-            _, block, _ = spectral._population_block(bundle)
+            flag, _ = spectral._population_block(bundle)
+            block = searched_matrix(bundle) if flag else None
             assert bundle._superop is None, name  # nothing assembled
             full = bundle.superop.data
             got = liouvillian._term_sum(layout, bundle.coeffs)
@@ -515,7 +535,7 @@ class TestBlockLayout:
             # the term-based flag against a scan of the stored entries
             coo = full.tocoo()
             closed = np.array_equal(population[coo.row], population[coo.col])
-            assert (block is not None) == closed, name
+            assert flag == closed, name
             if closed:
                 for g, w in zip(csr_bits(block), csr_bits(got)):
                     assert np.array_equal(g, w), name
@@ -524,5 +544,5 @@ class TestBlockLayout:
         monkeypatch.setattr(liouvillian, "_BLOCK_TABLES", {})
         # a two-level qubit has no a^dag a^dag a, so nothing joins there
         for dims, want in (((2, 2), set()), ((3, 3), {"drive", "drive_dag"})):
-            _, joining = liouvillian._block_table(TruncatedSpace(dims))
+            _, joining, _ = liouvillian._block_table(TruncatedSpace(dims))
             assert joining == want, dims
